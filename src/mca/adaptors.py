@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from .tensor import (
     logsumexp_rows,
     matmul,
     mean_all,
-    mean_axis0,
+    mean_axis,
     normalize_rows,
-    reshape,
     sub,
     transpose_last,
 )
@@ -57,7 +56,7 @@ class SampleAdaptorWeights:
 
 @dataclass(frozen=True)
 class ContrastConfig:
-    """InfoNCE settings: temperature and an optional cap on negatives."""
+    """InfoNCE settings: temperature and an optional cap on token negatives."""
 
     temperature: float = 0.1
     token_pair_limit: Optional[int] = None
@@ -137,83 +136,95 @@ def token_adaptor_is_zero(w: TokenAdaptorWeights) -> bool:
 
 
 def tc_forward(x: Tensor, w: TokenAdaptorWeights) -> Tensor:
-    """Per-token bottleneck MLP: [K, d] -> [K, d]."""
-    if x.ndim != 2 or x.shape[1] != w.w_down.shape[0]:
+    """Per-token bottleneck MLP: [..., K, d] -> [..., K, d]."""
+    if x.ndim < 2 or x.shape[-1] != w.w_down.shape[0]:
         raise ShapeError(f"tc_forward width mismatch: x {x.shape} vs {w.w_down.shape}")
     h = gelu(matmul(x, w.w_down) + w.b_down)
     return matmul(h, w.w_up) + w.b_up
 
 
 def sc_forward(x: Tensor, w: SampleAdaptorWeights) -> Tensor:
-    """Mean-pool tokens, project, bottleneck MLP: [K, d] -> [d]."""
-    if x.ndim != 2 or x.shape[1] != w.w_p.shape[0]:
+    """Mean-pool tokens, project, bottleneck MLP: [..., K, d] -> [..., d]."""
+    if x.ndim < 2 or x.shape[-1] != w.w_p.shape[0]:
         raise ShapeError(f"sc_forward width mismatch: x {x.shape} vs {w.w_p.shape}")
-    d = x.shape[1]
-    pooled = reshape(mean_axis0(x), (1, d))
-    h = matmul(pooled, w.w_p) + w.b_p
-    out = matmul(gelu(matmul(h, w.w_down) + w.b_down), w.w_up) + w.b_up
-    return reshape(out, (d,))
+    h = matmul(mean_axis(x, -2), w.w_p) + w.b_p
+    return matmul(gelu(matmul(h, w.w_down) + w.b_down), w.w_up) + w.b_up
 
 
-def _infonce_from_pairs(x: Tensor, y: Tensor, cfg: ContrastConfig,
-                        rng: Optional[np.random.Generator]) -> Tensor:
-    """Mean over anchors j of logsumexp_j'(sim[j, j']/t) - sim[j, j]/t.
+def negative_mask(n: int, limit: int, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Additive [n, n] InfoNCE mask keeping ``limit`` negatives per anchor.
 
-    Row j of the similarity matrix holds the positive at the diagonal and
-    the cross-view negatives off it, so the expression equals
-    -log(exp(s+/t) / sum_j' exp(s_jj'/t)).
+    Entry (j, j') is 0 where the pair enters the anchor's logsumexp and -inf
+    where it is dropped.  The diagonal (the positive) is always kept; for
+    each anchor j in order, ``limit`` of the other n - 1 indices are drawn
+    from ``rng`` without replacement.
     """
-    n = x.shape[0]
+    mask = np.full((n, n), -np.inf, dtype=dtype)
+    np.fill_diagonal(mask, 0.0)
+    for j in range(n):
+        others = np.delete(np.arange(n), j)
+        keep = rng.choice(others, size=limit, replace=False)
+        mask[j, keep] = 0.0
+    return mask
+
+
+def _infonce_from_pairs(x: Tensor, y: Tensor, temperature: float,
+                        negatives: Optional[np.ndarray] = None) -> Tensor:
+    """Mean over leading indices and anchors j of logsumexp_j'(sim[j, j']/t) - sim[j, j]/t.
+
+    ``x`` and ``y`` are [..., n, d]; every leading index is its own set of
+    n pairs.  Row j of each [n, n] similarity matrix holds the positive at
+    the diagonal and the cross-view negatives off it, so the expression
+    equals -log(exp(s+/t) / sum_j' exp(s_jj'/t)).  ``negatives``, when
+    given, is an additive [..., n, n] mask (see ``negative_mask``).  With
+    equal n per leading index, the mean over all anchors is the mean of the
+    per-index losses.
+    """
     sim = matmul(normalize_rows(x), transpose_last(normalize_rows(y)))
-    scaled = sim * (1.0 / cfg.temperature)
-    limit = cfg.token_pair_limit
-    if limit is not None and n - 1 > limit:
-        if rng is None:
-            raise ContractError(
-                "token_pair_limit subsampling requires an rng (session seed)"
-            )
-        mask = np.full((n, n), -np.inf, dtype=scaled.data.dtype)
-        np.fill_diagonal(mask, 0.0)
-        for j in range(n):
-            others = np.delete(np.arange(n), j)
-            keep = rng.choice(others, size=limit, replace=False)
-            mask[j, keep] = 0.0
-        denom = logsumexp_rows(add_const(scaled, mask))
-    else:
-        denom = logsumexp_rows(scaled)
+    scaled = sim * (1.0 / temperature)
+    denom = logsumexp_rows(scaled if negatives is None else add_const(scaled, negatives))
     return mean_all(sub(denom, diag_part(scaled)))
 
 
 def token_contrastive_loss(x: Tensor, y: Tensor, cfg: ContrastConfig,
-                           rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Token-level InfoNCE over K anchor tokens; exactly 0 at K=1."""
-    if x.ndim != 2 or x.shape != y.shape:
-        raise ShapeError(f"token loss needs equal [K, d] inputs, got {x.shape}/{y.shape}")
-    if x.shape[0] < 1:
-        raise ContractError("token loss needs at least one token")
-    return _infonce_from_pairs(x, y, cfg, rng)
+                           rng: Optional[np.random.Generator] = None,
+                           negatives: Optional[np.ndarray] = None) -> Tensor:
+    """Token-level InfoNCE over K anchor tokens; exactly 0 at K=1.
 
-
-def sample_contrastive_loss(
-    eps: Union[Tensor, Sequence[Tensor]],
-    eps_aug: Union[Tensor, Sequence[Tensor]],
-    cfg: ContrastConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Sample-level InfoNCE over B embeddings; exactly 0 at B=1.
-
-    Accepts either [B, d] tensors or sequences of [d] embeddings; each
-    embedding's positive is its own augmented view, the other augmented
-    views are its negatives.
+    ``x`` and ``y`` are one image's tokens [K, d] or a batch [..., K, d];
+    the loss of a batch is the mean of its per-image losses.  When
+    ``cfg.token_pair_limit`` binds (K - 1 > limit), each anchor keeps
+    ``limit`` negatives: the additive [..., K, K] mask ``negatives`` when
+    given, else masks drawn from ``rng`` with ``negative_mask``, one image
+    after another in leading-index order.
     """
-    from .tensor import stack_rows
+    if x.ndim < 2 or x.shape != y.shape:
+        raise ShapeError(f"token loss needs equal [..., K, d] inputs, got {x.shape}/{y.shape}")
+    n = x.shape[-2]
+    if n < 1:
+        raise ContractError("token loss needs at least one token")
+    limit = cfg.token_pair_limit
+    if negatives is None and limit is not None and n - 1 > limit:
+        if rng is None:
+            raise ContractError(
+                "token_pair_limit subsampling requires an rng (session seed)"
+            )
+        lead = x.shape[:-2]
+        masks = [negative_mask(n, limit, rng, x.data.dtype)
+                 for _ in range(int(np.prod(lead, dtype=int)))]
+        negatives = np.stack(masks).reshape(*lead, n, n)
+    return _infonce_from_pairs(x, y, cfg.temperature, negatives)
 
-    if not isinstance(eps, Tensor):
-        eps = stack_rows(list(eps))
-    if not isinstance(eps_aug, Tensor):
-        eps_aug = stack_rows(list(eps_aug))
+
+def sample_contrastive_loss(eps: Tensor, eps_aug: Tensor, cfg: ContrastConfig) -> Tensor:
+    """Sample-level InfoNCE over B embeddings [B, d]; exactly 0 at B=1.
+
+    Each embedding's positive is its own augmented view; every other
+    augmented view of the batch is a negative (``token_pair_limit`` does not
+    apply here).
+    """
     if eps.ndim != 2 or eps.shape != eps_aug.shape:
         raise ContractError(
             f"sample loss needs matching [B, d] batches, got {eps.shape}/{eps_aug.shape}"
         )
-    return _infonce_from_pairs(eps, eps_aug, cfg, rng)
+    return _infonce_from_pairs(eps, eps_aug, cfg.temperature)

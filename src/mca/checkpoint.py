@@ -8,10 +8,13 @@ Layout (all integers little-endian):
   u64 step counter.
 
 load(save(x)) reproduces every tensor bitwise and the config text exactly.
+A save replaces the file atomically: a reader sees the old checkpoint or
+the new one, never a partial write.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import OrderedDict
 from typing import Tuple
@@ -43,8 +46,29 @@ def save_checkpoint(path: str, tensors: "OrderedDict[str, np.ndarray]",
     chunks.append(struct.pack("<I", len(cfg_bytes)))
     chunks.append(cfg_bytes)
     chunks.append(struct.pack("<Q", int(step)))
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    _write_atomic(path, b"".join(chunks))
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` whole or not at all.
+
+    The bytes go to a temporary file in the same directory, are flushed and
+    fsynced, and only then renamed over the target, so a failed or
+    interrupted write leaves any existing file untouched.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 class _Reader:

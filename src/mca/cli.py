@@ -131,14 +131,14 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_masks(args: argparse.Namespace) -> int:
-    from .trainer import _forward_predict, model_from_checkpoint
+    from .trainer import model_from_checkpoint, predict
 
     model, cfg, _step = model_from_checkpoint(args.checkpoint)
     samples = load_split(args.data, args.split)
     os.makedirs(args.out, exist_ok=True)
-    for s in samples:
-        pred = _forward_predict(model, s.image, cfg.adaptors_enabled)
-        binary = (pred.data >= args.threshold).astype(np.uint8)
+    maps = predict(model, [s.image for s in samples], cfg.adaptors_enabled, cfg.batch_size)
+    for s, m in zip(samples, maps):
+        binary = (m >= args.threshold).astype(np.uint8)
         save_pgm(os.path.join(args.out, f"{s.id}.pgm"), binary)
     print(f"wrote {len(samples)} masks to {args.out}")
     return 0

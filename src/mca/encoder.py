@@ -33,6 +33,7 @@ from .tensor import (
     permute,
     reshape,
     softmax_rows,
+    transpose_last,
 )
 
 INIT_STD = 0.02  # frozen-weight init scale (seeded normal)
@@ -166,20 +167,21 @@ def init_encoder_state(cfg: EncoderConfig, rng: np.random.Generator,
 
 
 def extract_patches(image: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """[C, H, W] -> [K, C*p*p] row-major patch matrix (pure numpy)."""
-    c, h, w = image.shape
-    if h != cfg.image_size or w != cfg.image_size or c != cfg.channels:
+    """[..., C, H, W] -> [..., K, C*p*p] row-major patch matrices (pure numpy)."""
+    if image.shape[-3:] != (cfg.channels, cfg.image_size, cfg.image_size):
         raise ShapeError(
             f"image shape {image.shape} vs configured "
             f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})"
         )
-    g, p = cfg.grid, cfg.patch_size
-    blocks = image.reshape(c, g, p, g, p).transpose(1, 3, 0, 2, 4)
-    return np.ascontiguousarray(blocks.reshape(cfg.num_tokens, cfg.patch_dim))
+    lead = image.shape[:-3]
+    g, p, n = cfg.grid, cfg.patch_size, len(lead)
+    blocks = image.reshape(*lead, cfg.channels, g, p, g, p)
+    blocks = blocks.transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
+    return np.ascontiguousarray(blocks.reshape(*lead, cfg.num_tokens, cfg.patch_dim))
 
 
 def tokenize(image, cfg: EncoderConfig, state: EncoderState) -> Tensor:
-    """Patch tokens plus position embedding: [C, H, W] -> [K, d]."""
+    """Patch tokens plus position embedding: [..., C, H, W] -> [..., K, d]."""
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     patches = Tensor(extract_patches(arr, cfg), requires_grad=False)
     tokens = matmul(patches, state.patch_projection) + state.patch_bias
@@ -188,24 +190,27 @@ def tokenize(image, cfg: EncoderConfig, state: EncoderState) -> Tensor:
 
 def layer_forward(x: Tensor, layer: LayerWeights,
                   return_attn: bool = False):
-    """Pre-norm multi-head attention + MLP with residuals: [K, d] -> [K, d]."""
-    k_tokens, d = x.shape
+    """Pre-norm multi-head attention + MLP with residuals: [..., K, d] -> [..., K, d].
+
+    Leading axes are independent images; ``return_attn`` also returns the
+    attention weights [..., heads, K, K].
+    """
+    *lead, k_tokens, d = x.shape
     heads = layer.num_heads
     dh = d // heads
+    n = len(lead)
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
     q = matmul(h, layer.w_q) + layer.b_q
     k = matmul(h, layer.w_k) + layer.b_k
     v = matmul(h, layer.w_v) + layer.b_v
-    # [K, d] -> [heads, K, dh]
-    split = lambda t: permute(reshape(t, (k_tokens, heads, dh)), (1, 0, 2))
+    # [..., K, d] <-> [..., heads, K, dh]
+    to_heads = (*range(n), n + 1, n, n + 2)
+    split = lambda t: permute(reshape(t, (*lead, k_tokens, heads, dh)), to_heads)
     qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, permute(kh, (0, 2, 1))) * (1.0 / math.sqrt(dh))
-    attn = reshape(
-        softmax_rows(reshape(scores, (heads * k_tokens, k_tokens))),
-        (heads, k_tokens, k_tokens),
-    )
-    ctx = matmul(attn, vh)  # [heads, K, dh]
-    merged = reshape(permute(ctx, (1, 0, 2)), (k_tokens, d))
+    scores = matmul(qh, transpose_last(kh)) * (1.0 / math.sqrt(dh))
+    attn = softmax_rows(scores)
+    ctx = matmul(attn, vh)  # [..., heads, K, dh]
+    merged = reshape(permute(ctx, to_heads), (*lead, k_tokens, d))
     x1 = x + (matmul(merged, layer.w_o) + layer.b_o)
     h2 = layer_norm(x1, layer.ln2_g, layer.ln2_b)
     mlp = matmul(gelu(matmul(h2, layer.w_mlp1) + layer.b_mlp1), layer.w_mlp2) + layer.b_mlp2
@@ -219,6 +224,8 @@ def encoder_forward(
     x0: Tensor, state: EncoderState, adaptors_enabled: bool
 ) -> Tuple[List[Tensor], Optional[List[Tensor]]]:
     """All layer outputs [X^1..X^N] and, when enabled, adaptor outputs [Y^1..Y^N].
+
+    ``x0`` is [..., K, d]: one image's tokens, or a batch of them.
 
     With adaptors enabled each layer output is layer(x) + token_adaptor(x)
     on the same input x; otherwise it is the plain frozen forward.

@@ -7,9 +7,10 @@ compares against the fourth-order five-point central difference
 h=1e-5 stencil resolves to ~1e-10 even where the objective is steep; the
 session dtype is restored afterwards.
 
-The ``total_loss`` suite mirrors the trainer's objective: both contrastive
-terms anchor on each adaptor's input tokens (``[x0] + xs[:-1]``), for the
-original and the augmented view alike.
+Each suite checks the single-instance form and the batched form
+(leading axes) of its operation.  The ``total_loss`` suite differentiates
+the trainer's own ``step_objective`` on a batch of two images and their
+views, so the objective that trains is the objective that is checked.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from .adaptors import (
     ContrastConfig,
     init_sample_adaptor,
     init_token_adaptor,
+    negative_mask,
     sample_contrastive_loss,
     sc_forward,
     tc_forward,
     token_contrastive_loss,
 )
-from .encoder import EncoderConfig, encoder_forward, init_encoder_state, init_layer, layer_forward, tokenize
-from .objectives import DecoderWeights, MaskPair, bce_loss, combine_losses, decode_mask, iou_loss
+from .config import TrainConfig
+from .encoder import EncoderConfig, init_encoder_state, init_layer, layer_forward
+from .objectives import DecoderWeights, MaskPair, bce_loss, decode_mask, iou_loss
 from .tensor import (
     Tensor,
     cosine_similarity,
@@ -43,16 +46,19 @@ from .tensor import (
     mean_all,
     set_default_dtype,
 )
+from .trainer import ModelState, step_objective
 
 DEFAULT_TOL = 1e-5
 DEFAULT_SEEDS = 20
 
-# End-to-end geometry: 32x32 images, two encoder layers.
-E2E_CONFIG = EncoderConfig(
+# End-to-end geometry: 32x32 images, two encoder layers, batches of two.
+E2E_TRAIN_CONFIG = TrainConfig(
     image_size=32, patch_size=8, channels=3,
     embed_dim=16, num_layers=2, num_heads=2, mlp_ratio=2,
+    bottleneck=4, batch_size=2, temperature=0.1, variant="mca",
 )
-E2E_BOTTLENECK = 4
+E2E_CONFIG = E2E_TRAIN_CONFIG.encoder_config()
+E2E_BOTTLENECK = E2E_TRAIN_CONFIG.bottleneck
 
 
 @contextmanager
@@ -83,11 +89,20 @@ def _check_matmul(rng) -> List[float]:
     b = _t(rng, (4, 5))
     ab = _t(rng, (2, 3, 4))
     bb = _t(rng, (2, 4, 5))
+    v = _t(rng, (4,))
+    a4 = _t(rng, (2, 2, 3, 4))
+    b4 = _t(rng, (2, 2, 4, 5))
     return [
-        finite_diff_check(lambda v: mean_all(matmul(v, b)), a),
-        finite_diff_check(lambda v: mean_all(matmul(a, v)), b),
-        finite_diff_check(lambda v: mean_all(matmul(v, bb)), ab),
-        finite_diff_check(lambda v: mean_all(matmul(ab, v)), bb),
+        finite_diff_check(lambda w: mean_all(matmul(w, b)), a),
+        finite_diff_check(lambda w: mean_all(matmul(a, w)), b),
+        finite_diff_check(lambda w: mean_all(matmul(w, bb)), ab),
+        finite_diff_check(lambda w: mean_all(matmul(ab, w)), bb),
+        # a weight matrix applied over leading axes, and to a vector
+        finite_diff_check(lambda w: mean_all(matmul(w, b)), ab),
+        finite_diff_check(lambda w: mean_all(matmul(ab, w) * matmul(ab, w)), b),
+        finite_diff_check(lambda w: mean_all(matmul(w, b) * matmul(w, b)), v),
+        finite_diff_check(lambda w: mean_all(matmul(w, b4)), a4),
+        finite_diff_check(lambda w: mean_all(matmul(a4, w)), b4),
     ]
 
 
@@ -103,9 +118,11 @@ def _check_cosine(rng) -> List[float]:
 def _check_logsumexp(rng) -> List[float]:
     x = _t(rng, (9,))
     rows = _t(rng, (4, 6))
+    batched = _t(rng, (2, 3, 5))
     return [
         finite_diff_check(logsumexp, x),
         finite_diff_check(lambda v: mean_all(logsumexp_rows(v)), rows),
+        finite_diff_check(lambda v: mean_all(logsumexp_rows(v) * logsumexp_rows(v)), batched),
     ]
 
 
@@ -117,35 +134,50 @@ def _check_tc_forward(rng) -> List[float]:
     _randomize(w.b_up, rng)
     _randomize(w.b_down, rng)
     x = _t(rng, (6, 8))
+    xb = _t(rng, (2, 3, 8))
     f = lambda _v: mean_all(tc_forward(x, w))
-    return [finite_diff_check(f, p) for p in (x, w.w_down, w.b_down, w.w_up, w.b_up)]
+    fb = lambda _v: mean_all(tc_forward(xb, w) * tc_forward(xb, w))
+    return (
+        [finite_diff_check(f, p) for p in (x, w.w_down, w.b_down, w.w_up, w.b_up)]
+        + [finite_diff_check(fb, p) for p in (xb, w.w_down)]
+    )
 
 
 def _check_sc_forward(rng) -> List[float]:
     w = init_sample_adaptor(8, 2, rng)
     x = _t(rng, (6, 8))
+    xb = _t(rng, (2, 3, 8))
     f = lambda _v: mean_all(sc_forward(x, w))
+    fb = lambda _v: mean_all(sc_forward(xb, w) * sc_forward(xb, w))
     targets = [x] + [getattr(w, n) for n in ("w_p", "b_p", "w_down", "b_down", "w_up", "b_up")]
-    return [finite_diff_check(f, p) for p in targets]
+    return [finite_diff_check(f, p) for p in targets] + [
+        finite_diff_check(fb, p) for p in (xb, w.w_p)
+    ]
 
 
 def _check_token_infonce(rng) -> List[float]:
     cfg = ContrastConfig(temperature=0.1)
     x = _t(rng, (5, 6))
     y = _t(rng, (5, 6))
+    xb = _t(rng, (2, 4, 6))
+    yb = _t(rng, (2, 4, 6))
+    negatives = np.stack([negative_mask(4, 2, rng, np.float64) for _ in range(2)])
+    fb = lambda _v: token_contrastive_loss(xb, yb, cfg, negatives=negatives)
     return [
         finite_diff_check(lambda v: token_contrastive_loss(v, y, cfg), x),
         finite_diff_check(lambda v: token_contrastive_loss(x, v, cfg), y),
+        finite_diff_check(fb, xb),
+        finite_diff_check(fb, yb),
     ]
 
 
 def _check_sample_infonce(rng) -> List[float]:
     cfg = ContrastConfig(temperature=0.1)
-    a = [_t(rng, (6,)) for _ in range(3)]
-    b = [_t(rng, (6,)) for _ in range(3)]
+    a = _t(rng, (3, 6))
+    b = _t(rng, (3, 6))
     return [
-        finite_diff_check(lambda _v: sample_contrastive_loss(a, b, cfg), a[0]),
-        finite_diff_check(lambda _v: sample_contrastive_loss(a, b, cfg), b[2]),
+        finite_diff_check(lambda v: sample_contrastive_loss(v, b, cfg), a),
+        finite_diff_check(lambda v: sample_contrastive_loss(a, v, cfg), b),
     ]
 
 
@@ -153,13 +185,25 @@ def _check_bce(rng) -> List[float]:
     logits = rng.normal(0.0, 2.0, size=(5, 5))
     pred = Tensor(1.0 / (1.0 + np.exp(-logits)), requires_grad=True)
     gt = (rng.random((5, 5)) > 0.5).astype(np.float64)
-    return [finite_diff_check(lambda v: bce_loss(MaskPair(v, gt)), pred)]
+    pred_b = Tensor(rng.uniform(0.05, 0.95, size=(2, 4, 4)), requires_grad=True)
+    gt_b = (rng.random((2, 4, 4)) > 0.5).astype(np.float64)
+    return [
+        finite_diff_check(lambda v: bce_loss(MaskPair(v, gt)), pred),
+        finite_diff_check(lambda v: bce_loss(MaskPair(v, gt_b)), pred_b),
+    ]
 
 
 def _check_iou(rng) -> List[float]:
     pred = Tensor(rng.uniform(0.05, 0.95, size=(5, 5)), requires_grad=True)
     gt = (rng.random((5, 5)) > 0.4).astype(np.float64)
-    return [finite_diff_check(lambda v: iou_loss(MaskPair(v, gt)), pred)]
+    # A batch of three maps; the last has empty truth.
+    pred_b = Tensor(rng.uniform(0.05, 0.95, size=(3, 4, 4)), requires_grad=True)
+    gt_b = (rng.random((3, 4, 4)) > 0.4).astype(np.float64)
+    gt_b[2] = 0.0
+    return [
+        finite_diff_check(lambda v: iou_loss(MaskPair(v, gt)), pred),
+        finite_diff_check(lambda v: iou_loss(MaskPair(v, gt_b)), pred_b),
+    ]
 
 
 def _check_layer_forward(rng) -> List[float]:
@@ -175,63 +219,49 @@ def _check_layer_forward(rng) -> List[float]:
     for field in ("ln1_g", "w_q", "b_v", "w_o", "w_mlp1"):
         t = getattr(layer, field)
         errs.append(finite_diff_check(lambda _v: mean_all(layer_forward(x, layer)), t))
+    xb = _t(rng, (2, 4, 8))
+    fb = lambda _v: mean_all(layer_forward(xb, layer) * layer_forward(xb, layer))
+    errs += [finite_diff_check(fb, p) for p in (xb, layer.w_q)]
     return errs
 
 
 def _check_decode_mask(rng) -> List[float]:
     dec = DecoderWeights(w=_t(rng, (8, 1), 0.5), b=_t(rng, (1,), 0.5))
     xn = _t(rng, (4, 8))
+    # LOGIT_GAIN saturates the sigmoid at unit-scale weights; a small head
+    # keeps the batched maps on its slope.
+    dec_b = DecoderWeights(w=_t(rng, (8, 1), 1e-3), b=_t(rng, (1,), 1e-3))
+    xb = _t(rng, (2, 4, 8))
+    fb = lambda _v: mean_all(decode_mask(xb, dec_b, 3) * decode_mask(xb, dec_b, 3))
     return [
         finite_diff_check(lambda v: mean_all(decode_mask(v, dec, 3)), xn),
         finite_diff_check(lambda _v: mean_all(decode_mask(xn, dec, 3)), dec.w),
         finite_diff_check(lambda _v: mean_all(decode_mask(xn, dec, 3)), dec.b),
+        finite_diff_check(fb, xb),
+        finite_diff_check(fb, dec_b.w),
     ]
 
 
 def _check_total_loss(rng, deep: bool) -> List[float]:
-    cfg = E2E_CONFIG
-    state = init_encoder_state(cfg, rng, E2E_BOTTLENECK)
+    cfg = E2E_TRAIN_CONFIG
+    enc_cfg = cfg.encoder_config()
+    state = init_encoder_state(enc_cfg, rng, cfg.bottleneck)
     for pair in state.adaptors:
         # Random (not zero) token up-projections so both contrastive terms
         # are live at the checked point.
         _randomize(pair.token.w_up, rng, 0.1)
         _randomize(pair.token.b_up, rng, 0.1)
-    dec = DecoderWeights(w=_t(rng, (cfg.embed_dim, 1), 0.3), b=_t(rng, (1,), 0.3))
-    ccfg = ContrastConfig(temperature=0.1)
+    dec = DecoderWeights(w=_t(rng, (enc_cfg.embed_dim, 1), 0.3), b=_t(rng, (1,), 0.3))
+    model = ModelState(encoder_cfg=enc_cfg, encoder=state, decoder=dec)
 
-    images = [rng.random((3, 32, 32)) for _ in range(2)]
-    views = [rng.random((3, 32, 32)) for _ in range(2)]
-    masks = [(rng.random((32, 32)) > 0.5).astype(np.float64) for _ in range(2)]
+    size = enc_cfg.image_size
+    images = np.stack([rng.random((3, size, size)) for _ in range(2)])
+    views = np.stack([rng.random((3, size, size)) for _ in range(2)])
+    masks = np.stack([(rng.random((size, size)) > 0.5).astype(np.float64) for _ in range(2)])
 
     def objective(_v):
-        bces, ious, clts = [], [], []
-        emb_o = [[] for _ in range(cfg.num_layers)]
-        emb_a = [[] for _ in range(cfg.num_layers)]
-        for img, view, mask in zip(images, views, masks):
-            x0 = tokenize(img, cfg, state)
-            xs, ys = encoder_forward(x0, state, True)
-            x_in = [x0] + xs[:-1]
-            pred = decode_mask(xs[-1], dec, cfg.patch_size)
-            pair = MaskPair(pred, mask)
-            bces.append(bce_loss(pair))
-            ious.append(iou_loss(pair))
-            clts.append(mean_all(
-                token_contrastive_loss(x_in[0], ys[0], ccfg)
-                + token_contrastive_loss(x_in[1], ys[1], ccfg)
-            ) * 0.5)
-            x0a = tokenize(view, cfg, state)
-            xsa, _ = encoder_forward(x0a, state, True)
-            xa_in = [x0a] + xsa[:-1]
-            for i in range(cfg.num_layers):
-                emb_o[i].append(sc_forward(x_in[i], state.adaptors[i].sample))
-                emb_a[i].append(sc_forward(xa_in[i], state.adaptors[i].sample))
-        bce = (bces[0] + bces[1]) * 0.5
-        iou = (ious[0] + ious[1]) * 0.5
-        clt = (clts[0] + clts[1]) * 0.5
-        cls_layers = [sample_contrastive_loss(emb_o[i], emb_a[i], ccfg)
-                      for i in range(cfg.num_layers)]
-        cls = (cls_layers[0] + cls_layers[1]) * 0.5
-        return combine_losses(bce, iou, clt, cls, (1.0, 1.0, 1.0, 1.0))
+        total, _terms = step_objective(model, images, views, masks, cfg, None)
+        return total
 
     targets = [
         state.adaptors[0].token.w_down,

@@ -53,6 +53,9 @@ class EvalPair:
                 f"evaluation pair needs equal 2-D shapes, got "
                 f"{self.prediction.shape} vs {self.ground_truth.shape}"
             )
+        bad = int(np.count_nonzero(~np.isfinite(self.prediction)))
+        if bad:
+            raise ContractError(f"prediction map has {bad} non-finite values")
         if np.any((self.prediction < 0) | (self.prediction > 1)):
             raise ContractError("prediction map must lie in [0, 1]")
         g = self.ground_truth

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ContractError, ShapeError, TrainingAbortError
 from .tensor import (
     Tensor,
+    add_const,
     clamp,
     div,
     log,
@@ -29,7 +30,7 @@ from .tensor import (
     reshape,
     sigmoid,
     sub,
-    sum_all,
+    sum_axis,
 )
 
 BCE_CLAMP = 1e-7  # probability clamp for log stability
@@ -60,38 +61,51 @@ def init_decoder(d: int) -> DecoderWeights:
 
 @dataclass
 class MaskPair:
-    """Prediction probabilities in [0, 1] and binary ground truth."""
+    """Prediction probabilities in [0, 1] and binary ground truth.
 
-    prediction: Tensor       # [H, W]
-    ground_truth: np.ndarray  # [H, W], values in {0, 1}
+    One map [H, W] or a batch [..., H, W]; a non-finite prediction aborts
+    training.
+    """
+
+    prediction: Tensor       # [..., H, W]
+    ground_truth: np.ndarray  # [..., H, W], values in {0, 1}
 
     def __post_init__(self):
         if not isinstance(self.prediction, Tensor):
             self.prediction = Tensor(np.asarray(self.prediction))
         self.ground_truth = np.asarray(self.ground_truth)
-        if self.prediction.shape != self.ground_truth.shape:
+        if self.prediction.shape != self.ground_truth.shape or self.prediction.ndim < 2:
             raise ContractError(
                 f"mask shapes disagree: {self.prediction.shape} vs {self.ground_truth.shape}"
             )
         gt = self.ground_truth
         if not np.all((gt == 0) | (gt == 1)):
             raise ContractError("ground truth mask must be binary {0, 1}")
+        bad = int(np.count_nonzero(~np.isfinite(self.prediction.data)))
+        if bad:
+            raise TrainingAbortError(
+                f"mask prediction has {bad} non-finite values "
+                f"of {self.prediction.data.size}"
+            )
 
 
 def decode_mask(xn: Tensor, w: DecoderWeights, patch_size: int) -> Tensor:
-    """[K, d] final tokens -> [H, W] probability map (H = W = grid * patch)."""
-    k, d = xn.shape
+    """[..., K, d] final tokens -> [..., H, W] probability maps (H = W = grid * patch)."""
+    *lead, k, d = xn.shape
     grid = math.isqrt(k)
     if grid * grid != k:
         raise ShapeError(f"token count {k} is not a square grid")
     if w.w.shape != (d, 1):
         raise ShapeError(f"decoder width {w.w.shape} vs token width {d}")
-    logits = reshape((matmul(xn, w.w) + w.b) * LOGIT_GAIN, (grid, grid))
+    logits = reshape((matmul(xn, w.w) + w.b) * LOGIT_GAIN, (*lead, grid, grid))
     return sigmoid(nearest_upsample(logits, patch_size))
 
 
 def bce_loss(pair: MaskPair) -> Tensor:
-    """Mean binary cross-entropy with the prediction clamped away from {0, 1}."""
+    """Mean binary cross-entropy with the prediction clamped away from {0, 1}.
+
+    Over a batch of equal-sized maps this is the mean of the per-map losses.
+    """
     m = clamp(pair.prediction, BCE_CLAMP, 1.0 - BCE_CLAMP)
     g = pair.ground_truth.astype(m.data.dtype)
     term = mul(g, log(m)) + mul(1.0 - g, log(sub(1.0, m)))
@@ -99,16 +113,24 @@ def bce_loss(pair: MaskPair) -> Tensor:
 
 
 def iou_loss(pair: MaskPair) -> Tensor:
-    """Soft IoU loss: 1 - sum(m*g) / (sum(m) + sum(g) - sum(m*g))."""
-    g = pair.ground_truth.astype(pair.prediction.data.dtype)
-    gt_sum = float(g.sum())
-    pred_sum = sum_all(pair.prediction)
-    if gt_sum == 0.0 and pred_sum.item() == 0.0:
-        # Both empty: perfect agreement by convention (avoids 0/0).
-        return Tensor(np.asarray(0.0))
-    inter = sum_all(mul(pair.prediction, g))
+    """Soft IoU loss 1 - sum(m*g) / (sum(m) + sum(g) - sum(m*g)), per map.
+
+    A batch [..., H, W] scores the mean of its per-map losses, not the IoU
+    of the pooled pixels.  A map whose truth and prediction are both empty
+    (all exactly 0) scores 0 by convention, with a zero gradient: its ratio
+    is taken as 0/1 instead of 0/0, and its 1 is dropped.
+    """
+    pred = pair.prediction
+    lead, pixels = pred.shape[:-2], pred.shape[-2] * pred.shape[-1]
+    g = pair.ground_truth.astype(pred.data.dtype).reshape(*lead, pixels)
+    m = reshape(pred, (*lead, pixels))
+    gt_sum = g.sum(axis=-1)
+    pred_sum = sum_axis(m, -1)
+    empty = ((gt_sum == 0.0) & (pred_sum.data == 0.0)).astype(pred.data.dtype)
+    inter = sum_axis(mul(m, g), -1)
     union = sub(pred_sum + gt_sum, inter)
-    return sub(1.0, div(inter, union))
+    ratio = div(inter, add_const(union, empty))
+    return mean_all(sub(1.0 - empty, ratio))
 
 
 def combine_losses(

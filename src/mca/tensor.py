@@ -259,19 +259,31 @@ def add_const(a: Tensor, const: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes.
+
+    Two forms: ``[..., m, k] @ [k, n]`` (a weight matrix applied to every
+    leading index; ``a`` may also be a single vector ``[k]``), and equal-rank
+    batched products ``[..., m, k] @ [..., k, n]`` with equal leading axes.
+    """
     a, b = _wrap(a), _wrap(b)
-    if a.ndim == b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
+    if b.ndim == 2 and a.ndim >= 1:
+        if a.shape[-1] != b.shape[0]:
             raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    elif a.ndim == b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+    elif a.ndim == b.ndim >= 3:
+        if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"batched matmul shapes disagree: {a.shape} @ {b.shape}")
     else:
-        raise ShapeError(f"matmul supports 2-D or 3-D pairs, got {a.shape} @ {b.shape}")
+        raise ShapeError(
+            f"matmul needs [..., k] @ [k, n] or equal-rank batches, got {a.shape} @ {b.shape}"
+        )
     out = a.data @ b.data
     ad, bd = a.data, b.data
 
     def bw(g):
+        if bd.ndim == 2:
+            # Sum the weight gradient over every leading index at once.
+            k, n = bd.shape
+            return (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, n))
         return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
 
     return _make(out, (a, b), bw)
@@ -301,32 +313,17 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), lambda g: (g.reshape(orig),))
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack n vectors [d] into [n, d]."""
-    tensors = [_wrap(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("stack_rows of empty sequence")
-    for t in tensors:
-        if t.ndim != 1 or t.shape != tensors[0].shape:
-            raise ShapeError("stack_rows requires equal-length 1-D tensors")
-    out = np.stack([t.data for t in tensors], axis=0)
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _make(out, tuple(tensors), bw)
-
-
 def diag_part(a) -> Tensor:
+    """Diagonal of the last two axes: [..., n, n] -> [..., n]."""
     a = _wrap(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"diag_part needs a square matrix, got {a.shape}")
-    out = np.ascontiguousarray(np.diagonal(a.data))
-    n = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"diag_part needs square last axes, got {a.shape}")
+    out = np.ascontiguousarray(np.diagonal(a.data, axis1=-2, axis2=-1))
+    shape, idx = a.shape, np.arange(a.shape[-1])
 
     def bw(g):
-        full = np.zeros((n, n), dtype=g.dtype)
-        np.fill_diagonal(full, g)
+        full = np.zeros(shape, dtype=g.dtype)
+        full[..., idx, idx] = g
         return (full,)
 
     return _make(out, (a,), bw)
@@ -358,16 +355,28 @@ def mean_all(a) -> Tensor:
     return _make(np.asarray(out), (a,), bw)
 
 
-def mean_axis0(a) -> Tensor:
-    """Mean over the leading axis: [n, ...] -> [...]."""
+def sum_axis(a, axis: int) -> Tensor:
+    """Sum over one axis (negative counts from the end)."""
     a = _wrap(a)
-    if a.ndim < 1 or a.shape[0] < 1:
-        raise ShapeError(f"mean_axis0 needs a leading axis, got {a.shape}")
-    out = a.data.mean(axis=0)
-    n, shape = a.shape[0], a.shape
+    out = a.data.sum(axis=axis)
+    shape = a.shape
 
     def bw(g):
-        return (np.broadcast_to(g / n, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+    return _make(out, (a,), bw)
+
+
+def mean_axis(a, axis: int) -> Tensor:
+    """Mean over one axis, e.g. the token axis -2 of [..., K, d] -> [..., d]."""
+    a = _wrap(a)
+    if a.shape[axis] < 1:
+        raise ShapeError(f"mean_axis over an empty axis, got {a.shape}")
+    out = a.data.mean(axis=axis)
+    n, shape = a.shape[axis], a.shape
+
+    def bw(g):
+        return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
 
     return _make(out, (a,), bw)
 
@@ -408,12 +417,18 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row softmax of a 2-D tensor."""
+    """Softmax over the last axis: [..., n] -> [..., n]."""
     a = _wrap(a)
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows needs 2-D input, got {a.shape}")
-    s = kernels.softmax_rows_forward(a.data)
-    return _make(s, (a,), lambda g: (kernels.softmax_rows_backward(s, g),))
+    if a.ndim < 1:
+        raise ShapeError(f"softmax_rows needs at least one axis, got {a.shape}")
+    shape, n = a.shape, a.shape[-1]
+    # The kernels take 2-D rows.
+    s = kernels.softmax_rows_forward(a.data.reshape(-1, n)).reshape(shape)
+
+    def bw(g):
+        return (kernels.softmax_rows_backward(s.reshape(-1, n), g.reshape(-1, n)).reshape(shape),)
+
+    return _make(s, (a,), bw)
 
 
 def logsumexp(a) -> Tensor:
@@ -432,16 +447,16 @@ def logsumexp(a) -> Tensor:
 
 
 def logsumexp_rows(a) -> Tensor:
-    """Row-wise logsumexp of a 2-D tensor -> [rows]."""
+    """logsumexp over the last axis: [..., n] -> [...]."""
     a = _wrap(a)
-    if a.ndim != 2 or a.shape[1] < 1:
-        raise ShapeError(f"logsumexp_rows needs nonempty 2-D rows, got {a.shape}")
-    lse = kernels.logsumexp_rows_forward(a.data)
+    if a.ndim < 1 or a.shape[-1] < 1:
+        raise ShapeError(f"logsumexp_rows needs a nonempty last axis, got {a.shape}")
+    lse = kernels.logsumexp_rows_forward(a.data.reshape(-1, a.shape[-1])).reshape(a.shape[:-1])
     ad = a.data
 
     def bw(g):
-        soft = np.exp(ad - lse[:, None])
-        return (g[:, None] * soft,)
+        soft = np.exp(ad - lse[..., None])
+        return (g[..., None] * soft,)
 
     return _make(lse, (a,), bw)
 
@@ -499,17 +514,17 @@ def cosine_similarity(u, v) -> Tensor:
 
 
 def normalize_rows(x) -> Tensor:
-    """Scale each row of [n, d] to unit Euclidean norm; zero rows are errors."""
+    """Scale each row [..., d] to unit Euclidean norm; zero rows are errors."""
     x = _wrap(x)
-    if x.ndim != 2:
-        raise ShapeError(f"normalize_rows needs 2-D input, got {x.shape}")
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    if x.ndim < 1:
+        raise ShapeError(f"normalize_rows needs at least one axis, got {x.shape}")
+    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateInputError("normalize_rows: zero-norm row")
     y = x.data / norms
 
     def bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - y * dot) / norms,)
 
     return _make(y, (x,), bw)
@@ -520,17 +535,17 @@ def normalize_rows(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def nearest_upsample(a, factor: int) -> Tensor:
-    """Repeat each entry of [h, w] into a factor x factor block."""
+    """Repeat each entry of the last two axes [..., h, w] into a factor x factor block."""
     a = _wrap(a)
-    if a.ndim != 2:
-        raise ShapeError(f"nearest_upsample needs 2-D input, got {a.shape}")
+    if a.ndim < 2:
+        raise ShapeError(f"nearest_upsample needs [..., h, w] input, got {a.shape}")
     if factor < 1:
         raise ContractError(f"upsample factor must be >= 1, got {factor}")
-    out = np.repeat(np.repeat(a.data, factor, axis=0), factor, axis=1)
-    h, w = a.shape
+    out = np.repeat(np.repeat(a.data, factor, axis=-2), factor, axis=-1)
+    *lead, h, w = a.shape
 
     def bw(g):
-        return (g.reshape(h, factor, w, factor).sum(axis=(1, 3)),)
+        return (g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1)),)
 
     return _make(out, (a,), bw)
 

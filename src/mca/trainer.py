@@ -1,29 +1,44 @@
 """Training and evaluation orchestration.
 
-One training session is a single deterministic sequence of steps: per step,
-forward the original batch (token adaptor residuals included), forward the
-augmented batch through the shared encoder when the sample-level loss is
-active, compute per-layer contrastive terms (averaged over layers), decode
-masks from the final layer, combine the objective, backpropagate, and apply
-AdamW to adaptor and decoder weights only.  Frozen encoder tensors are never
-updated.
+One training session is a single deterministic sequence of steps.  A step
+is one batched tape over the whole batch (``step_objective``): the original
+images go through the encoder as one [B, K, d] pass with the token adaptor
+residuals, and, when the sample-level loss is active, their augmented views
+as a second [B, K, d] pass through the same encoder.  Contrastive terms are
+computed per layer on the adaptor inputs, masks are decoded from the final
+layer, the objective is combined and backpropagated, and AdamW updates the
+adaptor and decoder weights only.  Frozen encoder tensors are never updated.
 
 All randomness derives from the config seed through fixed-purpose
 SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
-step stream of an uninterrupted run.  Batch reductions are sequential
-left-to-right sums (fixed order, documented for determinism).
+step stream of an uninterrupted run.
+
+Reductions, in their fixed order: BCE is the mean over every pixel of the
+batch; soft IoU is computed per image and then averaged over the batch; a
+token InfoNCE term is the mean over the batch's images and anchors of one
+layer; each contrastive term is the mean of its per-layer values, summed
+left to right from layer 0 and scaled by 1/L.  With equal-sized images these
+equal the per-image means of the per-image losses; only float rounding
+depends on the order, and the order is the same on every run.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptors import ContrastConfig, sample_contrastive_loss, token_adaptor_is_zero, token_contrastive_loss
+from .adaptors import (
+    ContrastConfig,
+    negative_mask,
+    sample_contrastive_loss,
+    sc_forward,
+    token_adaptor_is_zero,
+    token_contrastive_loss,
+)
 from .augment import parse_strategy, sample_view
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_text, config_to_text
@@ -32,7 +47,7 @@ from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAb
 from .metrics import EvalPair, MetricReport, dice_iou, evaluate_dataset
 from .objectives import DecoderWeights, MaskPair, bce_loss, combine_losses, decode_mask, init_decoder, iou_loss
 from .synthdata import Sample, load_split
-from .tensor import Graph, Tensor, backward
+from .tensor import Graph, Tensor, backward, get_default_dtype
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -168,14 +183,6 @@ def frozen_names(model: ModelState, cfg: TrainConfig) -> List[str]:
     return [n for n in named_tensors(model) if n not in all_tunable]
 
 
-def _mean_tensors(parts: Sequence[Tensor]) -> Tensor:
-    """Sequential left-to-right mean (fixed reduction order)."""
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc + p
-    return acc * (1.0 / len(parts))
-
-
 @dataclass
 class TrainResult:
     model: ModelState
@@ -224,10 +231,91 @@ def _clear_grads(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
-def _forward_predict(model: ModelState, image: np.ndarray, adaptors_enabled: bool) -> Tensor:
-    x0 = tokenize(image, model.encoder_cfg, model.encoder)
-    xs, _ = encoder_forward(x0, model.encoder, adaptors_enabled)
-    return decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size)
+def predict(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: bool,
+            chunk: int) -> np.ndarray:
+    """Probability maps [N, H, W] of N images [C, H, W], ``chunk`` images per pass.
+
+    Eager (no tape).  Every caller that must agree on thresholded masks
+    (train dice, ``evaluate``, ``dump-masks``) passes the run's batch size.
+    """
+    if chunk < 1:
+        raise ContractError(f"predict chunk must be >= 1, got {chunk}")
+    maps = []
+    for start in range(0, len(images), chunk):
+        x0 = tokenize(np.stack(images[start:start + chunk]), model.encoder_cfg, model.encoder)
+        xs, _ = encoder_forward(x0, model.encoder, adaptors_enabled)
+        maps.append(decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size).data)
+    return np.concatenate(maps)
+
+
+def _layer_mean(losses: List[Tensor]) -> Tensor:
+    """Mean of per-layer terms, summed left to right from layer 0."""
+    return sum(losses[1:], losses[0]) * (1.0 / len(losses))
+
+
+def step_objective(
+    model: ModelState,
+    images: np.ndarray,
+    views: Optional[np.ndarray],
+    masks: np.ndarray,
+    cfg: TrainConfig,
+    pair_rng: Optional[np.random.Generator],
+) -> Tuple[Tensor, Dict[str, object]]:
+    """The training objective of one batch, as one batched tape.
+
+    ``images`` and ``views`` (the augmented views, used only with the
+    sample-level loss) are [B, C, H, W]; ``masks`` is [B, H, W].  With a
+    binding ``token_pair_limit``, ``pair_rng`` draws the kept negatives in
+    the order image, then layer, then anchor.  Returns the weighted total
+    and its terms ``bce``, ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that
+    is off is the float 0.0).
+    """
+    enc = model.encoder
+    contrast = ContrastConfig(temperature=cfg.temperature)
+    x0 = tokenize(images, model.encoder_cfg, enc)
+    xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
+    # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = what
+    # layer i consumed), not on the layer outputs: the token loss aligns the
+    # residual with the tokens it was computed from.
+    x_in = [x0] + xs[:-1]
+    pair = MaskPair(decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size), masks)
+    terms: Dict[str, object] = {
+        "bce": bce_loss(pair), "iou_loss": iou_loss(pair), "cl_t": 0.0, "cl_s": 0.0,
+    }
+
+    if cfg.use_token_loss and cfg.adaptors_enabled:
+        # Layers whose token adaptor output is exactly zero (only at
+        # initialization) are omitted from the token loss: the cosine of a
+        # zero vector is undefined.  Mask-loss gradients make them nonzero
+        # after the first update.
+        live = [i for i, p in enumerate(enc.adaptors) if not token_adaptor_is_zero(p.token)]
+        n_tok, limit = model.encoder_cfg.num_tokens, cfg.token_pair_limit
+        negatives = dict.fromkeys(live)
+        if limit and n_tok - 1 > limit and pair_rng is not None:
+            # The kept negatives depend only on the rng, so they are drawn
+            # up front, in the order image, layer, anchor.
+            drawn = [[negative_mask(n_tok, limit, pair_rng, get_default_dtype()) for _ in live]
+                     for _ in range(len(images))]
+            negatives = {i: np.stack([row[j] for row in drawn]) for j, i in enumerate(live)}
+        if live:
+            terms["cl_t"] = _layer_mean([
+                token_contrastive_loss(x_in[i], ys[i], contrast, negatives=negatives[i])
+                for i in live
+            ])
+
+    if cfg.use_sample_loss:
+        x0a = tokenize(views, model.encoder_cfg, enc)
+        xsa, _ = encoder_forward(x0a, enc, cfg.adaptors_enabled and cfg.aug_adapted_forward)
+        xa_in = [x0a] + xsa[:-1]
+        terms["cl_s"] = _layer_mean([
+            sample_contrastive_loss(sc_forward(x_in[i], p.sample),
+                                    sc_forward(xa_in[i], p.sample), contrast)
+            for i, p in enumerate(enc.adaptors)
+        ])
+
+    total = combine_losses(terms["bce"], terms["iou_loss"], terms["cl_t"], terms["cl_s"],
+                           cfg.loss_weights)
+    return total, terms
 
 
 def _train_step(
@@ -240,85 +328,30 @@ def _train_step(
     step_in_epoch: int,
     global_step: int,
 ) -> Dict[str, float]:
-    enc = model.encoder
-    n_layers = len(enc.layers)
-    contrast = ContrastConfig(
-        temperature=cfg.temperature,
-        token_pair_limit=cfg.token_pair_limit or None,
-    )
-    strategy = parse_strategy(cfg.strategy)
-    # Layers whose token adaptor output is exactly zero (only at
-    # initialization) are omitted from the token loss: the cosine of a zero
-    # vector is undefined.  Mask-loss gradients make them nonzero after the
-    # first update.
-    tc_zero = [token_adaptor_is_zero(pair.token) for pair in enc.adaptors]
+    images = np.stack([s.image for s in batch])
+    masks = np.stack([s.mask for s in batch])
+    views = None
+    if cfg.use_sample_loss:
+        strategy = parse_strategy(cfg.strategy)
+        views = np.stack([
+            sample_view(s.image, strategy, derive_rng(
+                cfg.seed, _PURPOSE_AUGMENT, epoch, step_in_epoch * cfg.batch_size + pos))
+            for pos, s in enumerate(batch)
+        ])
     pair_rng = (
         derive_rng(cfg.seed, _PURPOSE_PAIR_SUBSAMPLE, global_step)
         if cfg.token_pair_limit
         else None
     )
 
-    bce_parts: List[Tensor] = []
-    iou_parts: List[Tensor] = []
-    clt_parts: List[Tensor] = []
-    emb_orig: List[List[Tensor]] = [[] for _ in range(n_layers)]
-    emb_aug: List[List[Tensor]] = [[] for _ in range(n_layers)]
-
     try:
         with Graph() as g:
-            for pos, sample in enumerate(batch):
-                x0 = tokenize(sample.image, model.encoder_cfg, enc)
-                xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
-                # Contrastive terms anchor on each adaptor's INPUT tokens
-                # (X^i = what layer i consumed), not on the layer outputs:
-                # the token loss aligns the residual with the tokens it was
-                # computed from.
-                x_in = [x0] + xs[:-1]
-                pred = decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size)
-                pair = MaskPair(pred, sample.mask)
-                bce_parts.append(bce_loss(pair))
-                iou_parts.append(iou_loss(pair))
-                if cfg.use_token_loss and cfg.adaptors_enabled:
-                    layer_losses = [
-                        token_contrastive_loss(x_in[i], ys[i], contrast, pair_rng)
-                        for i in range(n_layers)
-                        if not tc_zero[i]
-                    ]
-                    if layer_losses:
-                        clt_parts.append(_mean_tensors(layer_losses))
-                if cfg.use_sample_loss:
-                    aug_rng = derive_rng(
-                        cfg.seed, _PURPOSE_AUGMENT, epoch,
-                        step_in_epoch * cfg.batch_size + pos,
-                    )
-                    aug_image = sample_view(sample.image, strategy, aug_rng)
-                    x0a = tokenize(aug_image, model.encoder_cfg, enc)
-                    xsa, _ = encoder_forward(
-                        x0a, enc, cfg.adaptors_enabled and cfg.aug_adapted_forward
-                    )
-                    xa_in = [x0a] + xsa[:-1]
-                    from .adaptors import sc_forward
-
-                    for i in range(n_layers):
-                        emb_orig[i].append(sc_forward(x_in[i], enc.adaptors[i].sample))
-                        emb_aug[i].append(sc_forward(xa_in[i], enc.adaptors[i].sample))
-
-            bce = _mean_tensors(bce_parts)
-            iou = _mean_tensors(iou_parts)
-            cl_t = _mean_tensors(clt_parts) if clt_parts else 0.0
-            if cfg.use_sample_loss:
-                layer_cls = [
-                    sample_contrastive_loss(emb_orig[i], emb_aug[i], contrast)
-                    for i in range(n_layers)
-                ]
-                cl_s = _mean_tensors(layer_cls)
-            else:
-                cl_s = 0.0
-            total = combine_losses(bce, iou, cl_t, cl_s, cfg.loss_weights)
+            total, terms = step_objective(model, images, views, masks, cfg, pair_rng)
             backward(g, total)
     except (TrainingAbortError, DegenerateInputError) as exc:
-        # A zero-norm embedding or token row in a contrastive term is a
-        # training failure like a non-finite loss; label it with the step.
+        # A zero-norm embedding or token row in a contrastive term, or a
+        # non-finite prediction or loss, is a training failure; label it
+        # with the step.
         raise TrainingAbortError(f"step {global_step}: {exc}") from exc
 
     named = named_tensors(model)
@@ -331,22 +364,32 @@ def _train_step(
             raise TrainingAbortError(f"step {global_step}: {exc}") from exc
     _clear_grads(list(named.values()))
 
-    return {
-        "bce": bce.item(),
-        "iou_loss": iou.item(),
-        "cl_t": cl_t.item() if isinstance(cl_t, Tensor) else 0.0,
-        "cl_s": cl_s.item() if isinstance(cl_s, Tensor) else 0.0,
-        "total": total.item(),
-    }
+    out = {k: (t.item() if isinstance(t, Tensor) else 0.0) for k, t in terms.items()}
+    out["total"] = total.item()
+    return out
 
 
 def _train_set_dice(model: ModelState, samples: List[Sample], cfg: TrainConfig) -> float:
-    scores = []
-    for s in samples:
-        pred = _forward_predict(model, s.image, cfg.adaptors_enabled)
-        d, _ = dice_iou(EvalPair(pred.data, s.mask))
-        scores.append(d)
+    maps = predict(model, [s.image for s in samples], cfg.adaptors_enabled, cfg.batch_size)
+    scores = [dice_iou(EvalPair(m, s.mask))[0] for m, s in zip(maps, samples)]
     return float(np.mean(scores))
+
+
+# Config fields that name places, not the step stream: a resumed run may
+# read its data from, and write its output to, somewhere else.
+_RESUME_FREE_FIELDS = ("out_dir", "data_root")
+
+
+def _check_resumable(saved: TrainConfig, cfg: TrainConfig) -> None:
+    """ConfigError unless ``cfg`` continues the run that wrote ``saved``."""
+    differ = [f.name for f in fields(TrainConfig)
+              if f.name not in _RESUME_FREE_FIELDS
+              and getattr(saved, f.name) != getattr(cfg, f.name)]
+    if differ:
+        raise ConfigError(
+            "checkpoint config differs from this run in "
+            + ", ".join(f"{n} ({getattr(saved, n)!r} vs {getattr(cfg, n)!r})" for n in differ)
+        )
 
 
 def train(
@@ -373,16 +416,17 @@ def train(
     start_step = 0
     if resume_from is not None:
         arrays, config_text, start_step = load_checkpoint(resume_from)
-        resumed_cfg = config_from_text(config_text)
-        if resumed_cfg.encoder_config() != cfg.encoder_config():
-            raise ConfigError("checkpoint geometry does not match the config")
+        _check_resumable(config_from_text(config_text), cfg)
         _load_model_arrays(model, arrays)
         for name, state in opt.items():
-            mk, vk, tk = f"opt.{name}.m", f"opt.{name}.v", f"opt.{name}.t"
-            if mk in arrays:
-                state.m = arrays[mk].astype(np.float32, copy=True)
-                state.v = arrays[vk].astype(np.float32, copy=True)
-                state.t = int(round(float(arrays[tk])))
+            keys = (f"opt.{name}.m", f"opt.{name}.v", f"opt.{name}.t")
+            if not all(k in arrays for k in keys):
+                raise ConfigError(
+                    f"checkpoint has no optimizer state for tunable tensor {name!r}"
+                )
+            state.m = arrays[keys[0]].astype(np.float32, copy=True)
+            state.v = arrays[keys[1]].astype(np.float32, copy=True)
+            state.t = int(round(float(arrays[keys[2]])))
 
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -450,12 +494,10 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
 
 def evaluate(model: ModelState, samples: List[Sample], cfg: TrainConfig) -> MetricReport:
     """Inference scoring: no augmentation branch, no contrastive losses."""
-    pairs, names = [], []
-    for s in samples:
-        pred = _forward_predict(model, s.image, cfg.adaptors_enabled)
-        pairs.append(EvalPair(np.clip(pred.data.astype(np.float64), 0.0, 1.0), s.mask))
-        names.append(s.id)
-    return evaluate_dataset(pairs, names)
+    maps = predict(model, [s.image for s in samples], cfg.adaptors_enabled, cfg.batch_size)
+    pairs = [EvalPair(np.clip(m.astype(np.float64), 0.0, 1.0), s.mask)
+             for m, s in zip(maps, samples)]
+    return evaluate_dataset(pairs, [s.id for s in samples])
 
 
 def save_result(result: TrainResult, path: str) -> None:

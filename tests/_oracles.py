@@ -1,7 +1,11 @@
-"""Independent brute-force metric implementations used as test oracles.
+"""Brute-force reference implementations used as test oracles.
 
-Everything here is written with explicit Python loops straight from the
-documented formulas, sharing no code with mca.metrics.  Slow on purpose.
+The metric oracles are written with explicit Python loops straight from the
+documented formulas, sharing no code with mca.metrics.  The objective
+oracle is the per-image loop the batched training step replaced: it calls
+the package's single-image layer functions once per image and reduces in
+Python floats, so it checks the batching and the reductions, not the
+layers.  Slow on purpose.
 """
 
 import numpy as np
@@ -149,3 +153,62 @@ def oracle_dice_iou(s, g, threshold=0.5):
     union = ps + gs - tp
     iou = tp / union if union > 0 else 1.0
     return dice, iou
+
+
+def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
+    """Per-image loop objective of one batch; every term as a float.
+
+    Per image: tokens, encoder, decoded mask, BCE and soft IoU, and the
+    token InfoNCE averaged over layers whose token adaptor is nonzero
+    (negatives drawn from ``pair_rng`` image by image, layer by layer).
+    The sample InfoNCE takes each layer's [B, d] embeddings as plain
+    values, so this is a reference for the objective's value only.
+    """
+    from mca.adaptors import (
+        ContrastConfig,
+        sample_contrastive_loss,
+        sc_forward,
+        token_adaptor_is_zero,
+        token_contrastive_loss,
+    )
+    from mca.encoder import encoder_forward, tokenize
+    from mca.objectives import MaskPair, bce_loss, decode_mask, iou_loss
+    from mca.tensor import Tensor
+
+    enc, ecfg = model.encoder, model.encoder_cfg
+    n_layers = len(enc.layers)
+    contrast = ContrastConfig(temperature=cfg.temperature,
+                              token_pair_limit=cfg.token_pair_limit or None)
+    live = [i for i in range(n_layers) if not token_adaptor_is_zero(enc.adaptors[i].token)]
+    bces, ious, clts = [], [], []
+    emb_o = [[] for _ in range(n_layers)]
+    emb_a = [[] for _ in range(n_layers)]
+    for b in range(len(images)):
+        x0 = tokenize(images[b], ecfg, enc)
+        xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
+        x_in = [x0] + xs[:-1]
+        pair = MaskPair(decode_mask(xs[-1], model.decoder, ecfg.patch_size), masks[b])
+        bces.append(bce_loss(pair).item())
+        ious.append(iou_loss(pair).item())
+        if cfg.use_token_loss and cfg.adaptors_enabled and live:
+            clts.append(_mean([
+                token_contrastive_loss(x_in[i], ys[i], contrast, pair_rng).item()
+                for i in live
+            ]))
+        if cfg.use_sample_loss:
+            x0a = tokenize(views[b], ecfg, enc)
+            xsa, _ = encoder_forward(x0a, enc, cfg.adaptors_enabled and cfg.aug_adapted_forward)
+            xa_in = [x0a] + xsa[:-1]
+            for i in range(n_layers):
+                emb_o[i].append(sc_forward(x_in[i], enc.adaptors[i].sample).data)
+                emb_a[i].append(sc_forward(xa_in[i], enc.adaptors[i].sample).data)
+    cl_s = 0.0
+    if cfg.use_sample_loss:
+        cl_s = _mean([
+            sample_contrastive_loss(Tensor(np.stack(emb_o[i])), Tensor(np.stack(emb_a[i])),
+                                    contrast).item()
+            for i in range(n_layers)
+        ])
+    terms = {"bce": _mean(bces), "iou_loss": _mean(ious), "cl_t": _mean(clts), "cl_s": cl_s}
+    terms["total"] = sum(w * t for w, t in zip(cfg.loss_weights, list(terms.values())))
+    return terms

@@ -228,22 +228,26 @@ def test_pair_limit_subsampling_rules(f64):
     assert a == b
 
 
-def test_sample_loss_accepts_sequences_and_checks_lengths():
+def test_sample_loss_checks_batch_shapes():
     rng_data = np.random.default_rng(5)
     e = rng_data.normal(size=(3, 4))
     ea = rng_data.normal(size=(3, 4))
     cfg = ContrastConfig()
-    as_tensor = float(sample_contrastive_loss(Tensor(e), Tensor(ea), cfg).data)
-    as_rows = float(
-        sample_contrastive_loss(
-            [Tensor(row) for row in e], [Tensor(row) for row in ea], cfg
-        ).data
-    )
-    assert abs(as_tensor - as_rows) < 1e-12
     with pytest.raises(ContractError):
-        sample_contrastive_loss(
-            [Tensor(row) for row in e], [Tensor(row) for row in ea[:2]], cfg
-        )
+        sample_contrastive_loss(Tensor(e), Tensor(ea[:2]), cfg)
+    with pytest.raises(ContractError):
+        sample_contrastive_loss(Tensor(e[None]), Tensor(ea[None]), cfg)
+
+
+def test_sample_loss_ignores_token_pair_limit(f64):
+    # The cap applies to token negatives only; the sample loss always
+    # contrasts against every other view and needs no rng.
+    rng_data = np.random.default_rng(6)
+    e = Tensor(rng_data.normal(size=(5, 4)))
+    ea = Tensor(rng_data.normal(size=(5, 4)))
+    full = float(sample_contrastive_loss(e, ea, ContrastConfig()).data)
+    capped = float(sample_contrastive_loss(e, ea, ContrastConfig(token_pair_limit=1)).data)
+    assert full == capped
 
 
 def test_token_loss_view_count_mismatch():
@@ -252,3 +256,16 @@ def test_token_loss_view_count_mismatch():
         token_contrastive_loss(
             Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), cfg
         )
+
+
+def test_token_loss_of_batch_is_mean_of_per_image_losses(f64):
+    rng_data = np.random.default_rng(12)
+    x = rng_data.normal(size=(3, 5, 6))
+    y = rng_data.normal(size=(3, 5, 6))
+    for cfg in (ContrastConfig(), ContrastConfig(token_pair_limit=2)):
+        # With a binding limit, one rng draws the images' negatives in order.
+        rng_b, rng_i = np.random.default_rng(4), np.random.default_rng(4)
+        batched = float(token_contrastive_loss(Tensor(x), Tensor(y), cfg, rng_b).data)
+        per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), cfg, rng_i).data)
+                     for b in range(3)]
+        assert batched == pytest.approx(np.mean(per_image), rel=1e-12, abs=0.0)

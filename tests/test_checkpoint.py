@@ -1,5 +1,6 @@
 """MCAF checkpoint container: bitwise round-trip and strict parsing."""
 
+import os
 import struct
 from collections import OrderedDict
 
@@ -135,3 +136,18 @@ def test_unicode_names_and_config(tmp_path):
     back, cfg, _ = load_checkpoint(path)
     assert "poids.é" in back
     assert cfg == "note = café\n"
+
+
+def test_failed_save_keeps_existing_checkpoint(tmp_path, rng, monkeypatch):
+    path = str(tmp_path / "keep.mcaf")
+    save_checkpoint(path, _tensors(rng), "epochs = 1\n", 4)
+    before = open(path, "rb").read()
+
+    def full_disk(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, _tensors(rng), "epochs = 2\n", 8)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["keep.mcaf"]

@@ -230,3 +230,13 @@ def test_parse_report_csv_rejects_bad_header_and_missing_mean():
     good_header = "image,mae,s_measure,e_measure,ber,dice,iou\n"
     with pytest.raises(ContractError):
         parse_report_csv(good_header + "x,0,0,0,0,0,0\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_prediction_rejected(bad):
+    s = np.full((4, 4), 0.5)
+    s[2, 2] = bad
+    g = np.zeros((4, 4))
+    g[0, 0] = 1.0
+    with pytest.raises(ContractError, match="non-finite"):
+        EvalPair(s, g)

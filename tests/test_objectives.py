@@ -179,3 +179,35 @@ def test_total_loss_matches_manual_combination(f64):
     total = float(total_loss(pair, cl_t=0.25, cl_s=0.5, weights=w).data)
     manual = float(bce_loss(pair).data) + float(iou_loss(pair).data) + 0.25 + 0.5
     assert abs(total - manual) < 1e-12
+
+
+def test_non_finite_prediction_rejected():
+    pred = np.full((4, 4), 0.5)
+    pred[1, 2], pred[3, 0] = np.nan, np.inf
+    with pytest.raises(TrainingAbortError, match="2 non-finite"):
+        MaskPair(Tensor(pred), np.zeros((4, 4)))
+
+
+def test_iou_of_batch_is_mean_of_per_map_losses(f64):
+    rng = np.random.default_rng(8)
+    pred = rng.uniform(0.05, 0.95, size=(4, 6, 6))
+    gt = (rng.random((4, 6, 6)) > 0.5).astype(np.float64)
+    gt[1] = 0.0   # empty truth, nonzero prediction: loss 1
+    pred[2] = 0.0
+    gt[2] = 0.0   # both empty: loss 0 by convention
+    per_map = [float(iou_loss(MaskPair(Tensor(pred[b]), gt[b])).data) for b in range(4)]
+    assert per_map[1] == 1.0 and per_map[2] == 0.0
+    batched = float(iou_loss(MaskPair(Tensor(pred), gt)).data)
+    assert batched == pytest.approx(np.mean(per_map), rel=1e-12, abs=0.0)
+
+
+def test_iou_both_empty_map_has_zero_gradient(f64):
+    pred = Tensor(np.zeros((2, 3, 3)), requires_grad=True)
+    gt = np.zeros((2, 3, 3))
+    gt[0, 1, 1] = 1.0
+    with Graph() as g:
+        loss = iou_loss(MaskPair(pred, gt))
+        backward(g, loss)
+    assert float(loss.data) == 0.5  # map 0 scores 1, map 1 (both empty) 0
+    assert np.all(np.isfinite(pred.grad))
+    assert np.array_equal(pred.grad[1], np.zeros((3, 3)))

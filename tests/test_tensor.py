@@ -172,17 +172,20 @@ def test_normalize_rows_zero_row_rejected():
         T.normalize_rows(T.Tensor(np.zeros((2, 3))))
 
 
-def test_stack_rows_and_diag_part(f64):
-    rows = [T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])]
-    m = T.stack_rows(rows)
-    assert np.array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(T.diag_part(m).data, [1.0, 4.0])
-
-
-def test_mean_axis0_gradient_spreads(f64):
-    x = T.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+def test_diag_part_of_batched_matrices(f64):
+    m = T.Tensor(np.arange(8.0).reshape(2, 2, 2), requires_grad=True)
+    assert np.array_equal(T.diag_part(m).data, [[0.0, 3.0], [4.0, 7.0]])
     with T.Graph() as g:
-        T.backward(g, T.sum_all(T.mean_axis0(x)))
+        T.backward(g, T.sum_all(T.diag_part(m)))
+    assert np.array_equal(m.grad, np.broadcast_to(np.eye(2), (2, 2, 2)))
+
+
+def test_mean_axis_gradient_spreads(f64):
+    x = T.Tensor(np.arange(12.0).reshape(2, 3, 2), requires_grad=True)
+    with T.Graph() as g:
+        out = T.mean_axis(x, -2)
+        T.backward(g, T.sum_all(out))
+    assert np.array_equal(out.data, x.data.mean(axis=1))
     assert np.allclose(x.grad, 1.0 / 3.0)
 
 

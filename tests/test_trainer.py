@@ -6,11 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from mca.checkpoint import load_checkpoint
+from _oracles import oracle_step_objective
+from mca.augment import parse_strategy, sample_view
+from mca.checkpoint import load_checkpoint, save_checkpoint
 from mca.config import TrainConfig
+from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
+from mca.objectives import decode_mask
 from mca.synthdata import load_split
-from mca.tensor import Tensor
+from mca.tensor import Tensor, set_default_dtype
 from mca.trainer import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -27,11 +31,34 @@ from mca.trainer import (
     log_to_csv,
     model_from_checkpoint,
     named_tensors,
+    predict,
     run_ablation,
     save_result,
+    step_objective,
     train,
     tunable_names,
 )
+
+# The batched objective reorders float64 sums against the per-image loop;
+# each reordered operation moves a term by about 1e-16 relative.
+OBJECTIVE_RTOL = 1e-10
+# Batched and per-image float32 forwards differ at most in summation order.
+PREDICT_ATOL = 1e-6
+
+
+@pytest.fixture
+def f64():
+    set_default_dtype("float64")
+    yield
+    set_default_dtype("float32")
+
+
+def _fresh_opt(model, cfg):
+    named = named_tensors(model)
+    return {
+        name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
+        for name in tunable_names(model, cfg)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +270,30 @@ def test_resume_beyond_schedule_rejected(small_cfg, tmp_path):
         train(small_cfg(epochs=0), resume_from=path)  # 0 < step 2
 
 
+def test_resume_refuses_changed_config(small_cfg, tmp_path):
+    cfg = small_cfg(variant="decoder_only", epochs=1)
+    path = str(tmp_path / "p.mcaf")
+    save_result(train(cfg, stop_after_steps=1), path)
+    with pytest.raises(ConfigError, match="variant"):
+        train(small_cfg(variant="mca", epochs=1), resume_from=path)
+    with pytest.raises(ConfigError, match="lr_start"):
+        train(small_cfg(variant="decoder_only", epochs=1, lr_start=1e-3), resume_from=path)
+    # Where the data and the output live does not shape the step stream.
+    moved = small_cfg(variant="decoder_only", epochs=1, out_dir=str(tmp_path / "elsewhere"))
+    assert train(moved, resume_from=path).step == 2
+
+
+def test_resume_refuses_missing_optimizer_state(small_cfg, tmp_path):
+    cfg = small_cfg(variant="adaptor_plain", epochs=1)
+    result = train(cfg, stop_after_steps=1)
+    path = str(tmp_path / "o.mcaf")
+    tensors = {k: v for k, v in result.tensors.items()
+               if not k.startswith("opt.layer1.tc.w_up.")}
+    save_checkpoint(path, tensors, result.config_text, result.step)
+    with pytest.raises(ConfigError, match="layer1.tc.w_up"):
+        train(cfg, resume_from=path)
+
+
 def test_loss_descends_early(small_cfg):
     # Total training loss after the first epoch should not exceed its start
     # for the stable mask-only variants across several seeds.
@@ -288,15 +339,73 @@ def test_zero_sample_embedding_aborts_with_step_label(small_cfg, tiny_dataset):
     for pair in model.encoder.adaptors:
         pair.sample.w_up.data[...] = 0.0
         pair.sample.b_up.data[...] = 0.0
-    named = named_tensors(model)
-    opt = {
-        name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
-        for name in tunable_names(model, cfg)
-    }
+    opt = _fresh_opt(model, cfg)
     batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
     with pytest.raises(TrainingAbortError, match=r"^step 3: .*zero-norm"):
         _train_step(model, batch, cfg, cfg.lr_start, opt, epoch=1, step_in_epoch=1,
                     global_step=3)
+
+
+def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
+    cfg = small_cfg(variant="decoder_only")
+    model = init_model(cfg)
+    model.decoder.w.data[0, 0] = np.nan
+    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
+    with pytest.raises(TrainingAbortError,
+                       match=r"^step 5: mask prediction has \d+ non-finite values"):
+        _train_step(model, batch, cfg, cfg.lr_start, _fresh_opt(model, cfg), epoch=2,
+                    step_in_epoch=1, global_step=5)
+
+
+def _objective_inputs(cfg, tiny_dataset, live_layers):
+    """A model with live token adaptors and a sloped head, and one batch."""
+    model = init_model(cfg)
+    rng = np.random.default_rng(11)
+    for i in live_layers:
+        token = model.encoder.adaptors[i].token
+        token.w_up.data = rng.normal(0.0, 0.1, token.w_up.data.shape)
+    model.decoder.w.data = rng.normal(0.0, 1e-3, model.decoder.w.data.shape)
+    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
+    images = np.stack([s.image for s in batch])
+    strategy = parse_strategy(cfg.strategy)
+    views = np.stack([sample_view(s.image, strategy, derive_rng(cfg.seed, 2, 0, b))
+                      for b, s in enumerate(batch)])
+    masks = np.stack([s.mask for s in batch])
+    return model, images, views, masks
+
+
+@pytest.mark.parametrize("variant, limit, live_layers", [
+    ("decoder_only", 0, ()),
+    ("adaptor_plain", 0, (0, 1)),
+    ("mca", 0, (0, 1)),
+    ("mca", 2, (0,)),  # layer 1 keeps a zero token adaptor and skips its term
+])
+def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
+                                               variant, limit, live_layers):
+    cfg = small_cfg(variant=variant, token_pair_limit=limit)
+    model, images, views, masks = _objective_inputs(cfg, tiny_dataset, live_layers)
+    total, terms = step_objective(model, images, views, masks, cfg, derive_rng(cfg.seed, 3, 0))
+    got = {k: (t.item() if isinstance(t, Tensor) else t) for k, t in terms.items()}
+    got["total"] = total.item()
+    want = oracle_step_objective(model, images, views, masks, cfg, derive_rng(cfg.seed, 3, 0))
+    assert set(got) == set(want)
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, rel=OBJECTIVE_RTOL, abs=0.0), name
+    assert (got["cl_t"] > 0.0) == cfg.use_token_loss
+    assert (got["cl_s"] > 0.0) == cfg.use_sample_loss
+
+
+def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
+    cfg = small_cfg(variant="mca")
+    model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
+    images = [s.image for s in load_split(tiny_dataset, "train")]
+    maps = predict(model, images, True, chunk=3)  # 8 images: chunks of 3, 3 and 2
+    assert maps.shape == (8, 32, 32)
+    for image, got in zip(images, maps):
+        xs, _ = encoder_forward(tokenize(image, model.encoder_cfg, model.encoder),
+                                model.encoder, True)
+        want = decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size).data
+        assert np.max(np.abs(got - want)) <= PREDICT_ATOL
 
 
 def test_model_round_trips_through_checkpoint(small_cfg, tmp_path):

@@ -3,7 +3,7 @@
 A pure-NumPy research artifact: tape-based autodiff, a small frozen ViT
 encoder, token- and sample-level contrastive adaptors, synthetic
 camouflage/shadow data, and a deterministic AdamW training loop.  Hot
-elementwise kernels optionally run through numba (see mca.kernels).
+elementwise kernels are vectorized numpy and scipy (see mca.kernels).
 """
 
 from .config import TrainConfig, VARIANTS, load_config

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .checkpoint import _write_atomic
 from .config import TrainConfig, config_to_text, load_config, parse_override
 from .errors import (
     ConfigError,
@@ -75,11 +76,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     result = train(cfg, resume_from=args.resume, stop_after_steps=args.stop_after_steps)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    # Each file is replaced whole or not at all, like the checkpoint.
     save_result(result, os.path.join(cfg.out_dir, CHECKPOINT_NAME))
-    with open(os.path.join(cfg.out_dir, LOG_NAME), "w", encoding="ascii") as f:
-        f.write(log_to_csv(result.log))
-    with open(os.path.join(cfg.out_dir, CONFIG_NAME), "w", encoding="ascii") as f:
-        f.write(result.config_text)
+    _write_atomic(os.path.join(cfg.out_dir, LOG_NAME), log_to_csv(result.log).encode("ascii"))
+    _write_atomic(os.path.join(cfg.out_dir, CONFIG_NAME), result.config_text.encode("ascii"))
     if result.log:
         last = result.log[-1]
         print(

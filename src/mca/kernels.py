@@ -1,29 +1,16 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
-
-Every kernel exists in two functionally equivalent implementations:
-
-* ``*_numba``: element loops compiled with ``numba.njit`` (uses ``math.erfc``).
-* ``*_numpy``: vectorized numpy (uses ``scipy.special.erfc``).
-
-The active backend is chosen once at import time from the ``MCA_KERNELS``
-environment variable: ``numba``, ``numpy``, or ``auto`` (default; numba when
-importable, numpy otherwise).  Both backends are deterministic; results agree
-to float rounding but are not guaranteed bitwise identical across backends
-because the erfc implementations and summation orders differ.
+"""Hot numerical kernels, vectorized numpy and scipy.
 
 GELU evaluates the normal CDF as ``Phi(x) = 0.5 * erfc(-x / sqrt(2))``.  The
 textbook ``0.5 * (1 + erf(x / sqrt(2)))`` cancels to exactly 0 below
 x ~ -8.3 in float64 (~ -5.8 in float32), although x * Phi(x) stays
 representable down to about -38; erfc keeps the tail to full relative
-precision.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+precision.  ``gelu_forward_cdf`` returns the Phi its forward used, so that a
+backward pass can take it instead of evaluating erfc a second time.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy import special as _sp
@@ -32,23 +19,30 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def gelu_forward_numpy(x):
-    """Exact GELU: x * Phi(x), with Phi from erfc (exact negative tail)."""
-    return x * 0.5 * _sp.erfc(-x * _INV_SQRT2)
+def gelu_forward_cdf(x):
+    """Exact GELU x * Phi(x), and Phi(x), with Phi from erfc (exact negative tail)."""
+    erfc = _sp.erfc(-x * _INV_SQRT2)
+    return x * 0.5 * erfc, 0.5 * erfc
 
 
-def gelu_backward_numpy(x, g):
-    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), chained with upstream g."""
+def gelu_forward(x):
+    """Exact GELU: x * Phi(x)."""
+    return gelu_forward_cdf(x)[0]
+
+
+def gelu_backward(x, g, cdf=None):
+    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), chained with upstream g.
+
+    ``cdf`` is Phi(x) as ``gelu_forward_cdf`` returned it; without it Phi is
+    evaluated again, to the same bits.
+    """
+    if cdf is None:
+        cdf = 0.5 * _sp.erfc(-x * _INV_SQRT2)
     phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    cdf = 0.5 * _sp.erfc(-x * _INV_SQRT2)
     return g * (cdf + x * phi)
 
 
-def sigmoid_forward_numpy(x):
+def sigmoid_forward(x):
     """Numerically stable logistic function."""
     out = np.empty_like(x)
     pos = x >= 0
@@ -58,203 +52,27 @@ def sigmoid_forward_numpy(x):
     return out
 
 
-def sigmoid_backward_numpy(y, g):
+def sigmoid_backward(y, g):
     """Backward from the forward output y = sigmoid(x)."""
     return g * y * (1.0 - y)
 
 
-def softmax_rows_forward_numpy(x):
+def softmax_rows_forward(x):
     """Row softmax of a 2-D array with max-shift stabilization."""
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_rows_backward_numpy(s, g):
+def softmax_rows_backward(s, g):
     """Backward of row softmax given forward output s."""
     dot = (g * s).sum(axis=1, keepdims=True)
     return s * (g - dot)
 
 
-def logsumexp_rows_forward_numpy(x):
+def logsumexp_rows_forward(x):
     """Row-wise log(sum(exp(x))) with max-shift; -inf entries contribute 0."""
     m = x.max(axis=1)
     # exp(-inf - m) is 0, so masked entries drop out of the sum.
     e = np.exp(x - m[:, None])
     return m + np.log(e.sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    HAS_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@_njit(cache=True)
-def _gelu_forward_nb(x1d, out1d):
-    for i in range(x1d.shape[0]):
-        v = x1d[i]
-        out1d[i] = v * 0.5 * math.erfc(-v * _INV_SQRT2)
-
-
-@_njit(cache=True)
-def _gelu_backward_nb(x1d, g1d, out1d):
-    for i in range(x1d.shape[0]):
-        v = x1d[i]
-        phi = math.exp(-0.5 * v * v) * _INV_SQRT2PI
-        cdf = 0.5 * math.erfc(-v * _INV_SQRT2)
-        out1d[i] = g1d[i] * (cdf + v * phi)
-
-
-@_njit(cache=True)
-def _sigmoid_forward_nb(x1d, out1d):
-    for i in range(x1d.shape[0]):
-        v = x1d[i]
-        if v >= 0.0:
-            out1d[i] = 1.0 / (1.0 + math.exp(-v))
-        else:
-            e = math.exp(v)
-            out1d[i] = e / (1.0 + e)
-
-
-@_njit(cache=True)
-def _sigmoid_backward_nb(y1d, g1d, out1d):
-    for i in range(y1d.shape[0]):
-        out1d[i] = g1d[i] * y1d[i] * (1.0 - y1d[i])
-
-
-@_njit(cache=True)
-def _softmax_rows_forward_nb(x, out):
-    for r in range(x.shape[0]):
-        m = x[r, 0]
-        for c in range(1, x.shape[1]):
-            if x[r, c] > m:
-                m = x[r, c]
-        total = 0.0
-        for c in range(x.shape[1]):
-            e = math.exp(x[r, c] - m)
-            out[r, c] = e
-            total += e
-        for c in range(x.shape[1]):
-            out[r, c] /= total
-
-
-@_njit(cache=True)
-def _softmax_rows_backward_nb(s, g, out):
-    for r in range(s.shape[0]):
-        dot = 0.0
-        for c in range(s.shape[1]):
-            dot += g[r, c] * s[r, c]
-        for c in range(s.shape[1]):
-            out[r, c] = s[r, c] * (g[r, c] - dot)
-
-
-@_njit(cache=True)
-def _logsumexp_rows_forward_nb(x, out):
-    for r in range(x.shape[0]):
-        m = x[r, 0]
-        for c in range(1, x.shape[1]):
-            if x[r, c] > m:
-                m = x[r, c]
-        total = 0.0
-        for c in range(x.shape[1]):
-            total += math.exp(x[r, c] - m)
-        out[r] = m + math.log(total)
-
-
-def _flat(a):
-    """C-contiguous 1-D view (copying only when the input is not contiguous)."""
-    return np.ascontiguousarray(a).reshape(-1)
-
-
-def gelu_forward_numba(x):
-    out = np.empty(x.shape, dtype=x.dtype)
-    _gelu_forward_nb(_flat(x), out.reshape(-1))
-    return out
-
-
-def gelu_backward_numba(x, g):
-    out = np.empty(x.shape, dtype=x.dtype)
-    _gelu_backward_nb(_flat(x), _flat(g), out.reshape(-1))
-    return out
-
-
-def sigmoid_forward_numba(x):
-    out = np.empty(x.shape, dtype=x.dtype)
-    _sigmoid_forward_nb(_flat(x), out.reshape(-1))
-    return out
-
-
-def sigmoid_backward_numba(y, g):
-    out = np.empty(y.shape, dtype=y.dtype)
-    _sigmoid_backward_nb(_flat(y), _flat(g), out.reshape(-1))
-    return out
-
-
-def softmax_rows_forward_numba(x):
-    out = np.empty(x.shape, dtype=x.dtype)
-    _softmax_rows_forward_nb(np.ascontiguousarray(x), out)
-    return out
-
-
-def softmax_rows_backward_numba(s, g):
-    out = np.empty(s.shape, dtype=s.dtype)
-    _softmax_rows_backward_nb(np.ascontiguousarray(s), np.ascontiguousarray(g), out)
-    return out
-
-
-def logsumexp_rows_forward_numba(x):
-    out = np.empty(x.shape[0], dtype=x.dtype)
-    _logsumexp_rows_forward_nb(np.ascontiguousarray(x), out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _select_backend() -> str:
-    mode = os.environ.get("MCA_KERNELS", "auto").strip().lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"MCA_KERNELS must be 'auto', 'numba', or 'numpy', got {mode!r}"
-        )
-    if mode == "numba" and not HAS_NUMBA:
-        raise ImportError("MCA_KERNELS=numba but numba is not importable")
-    if mode == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return mode
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    gelu_forward = gelu_forward_numba
-    gelu_backward = gelu_backward_numba
-    sigmoid_forward = sigmoid_forward_numba
-    sigmoid_backward = sigmoid_backward_numba
-    softmax_rows_forward = softmax_rows_forward_numba
-    softmax_rows_backward = softmax_rows_backward_numba
-    logsumexp_rows_forward = logsumexp_rows_forward_numba
-else:
-    gelu_forward = gelu_forward_numpy
-    gelu_backward = gelu_backward_numpy
-    sigmoid_forward = sigmoid_forward_numpy
-    sigmoid_backward = sigmoid_backward_numpy
-    softmax_rows_forward = softmax_rows_forward_numpy
-    softmax_rows_backward = softmax_rows_backward_numpy
-    logsumexp_rows_forward = logsumexp_rows_forward_numpy

@@ -6,8 +6,9 @@ tape) whenever at least one operand requires a gradient; with no active graph
 they run eagerly with no bookkeeping, which is the inference path.
 
 ``backward`` replays the tape once in reverse, accumulating gradients
-additively across multiple uses of a tensor.  Tensors with
-``requires_grad=False`` never receive a gradient buffer.
+additively across multiple uses of a tensor.  No gradient is computed for a
+tensor with ``requires_grad=False``: each primitive's backward skips its
+operands that do not require one (frozen weights, constants).
 
 Two float widths are supported as a global session setting
 (``set_default_dtype``): float32 for training, float64 for the
@@ -200,7 +201,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), bw)
 
@@ -210,7 +214,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), bw)
 
@@ -226,7 +233,10 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g):
-        return (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape))
+        return (
+            _unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * ad, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), bw)
 
@@ -238,8 +248,8 @@ def div(a, b) -> Tensor:
 
     def bw(g):
         return (
-            _unbroadcast(g / bd, a.shape),
-            _unbroadcast(-g * ad / (bd * bd), b.shape),
+            _unbroadcast(g / bd, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), bw)
@@ -280,11 +290,15 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g):
-        if bd.ndim == 2:
+        ga = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
+        gb = None
+        if b.requires_grad and bd.ndim == 2:
             # Sum the weight gradient over every leading index at once.
             k, n = bd.shape
-            return (g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, n))
-        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+            gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
+        elif b.requires_grad:
+            gb = ad.swapaxes(-1, -2) @ g
+        return (ga, gb)
 
     return _make(out, (a, b), bw)
 
@@ -388,8 +402,8 @@ def mean_axis(a, axis: int) -> Tensor:
 def gelu(a) -> Tensor:
     a = _wrap(a)
     xd = a.data
-    out = kernels.gelu_forward(xd)
-    return _make(out, (a,), lambda g: (kernels.gelu_backward(xd, g),))
+    out, cdf = kernels.gelu_forward_cdf(xd)
+    return _make(out, (a,), lambda g: (kernels.gelu_backward(xd, g, cdf),))
 
 
 def sigmoid(a) -> Tensor:
@@ -477,13 +491,17 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     gd = gamma.data
 
     def bw(g):
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = rstd * (dxhat - m1 - xhat * m2)
+        dx = dgamma = dbeta = None
+        if x.requires_grad:
+            dxhat = g * gd
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dx = rstd * (dxhat - m1 - xhat * m2)
         axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
+        if gamma.requires_grad:
+            dgamma = (g * xhat).sum(axis=axes)
+        if beta.requires_grad:
+            dbeta = g.sum(axis=axes)
         return (dx, dgamma, dbeta)
 
     return _make(out, (x, gamma, beta), bw)
@@ -506,8 +524,8 @@ def cosine_similarity(u, v) -> Tensor:
     rho = float(ud @ vd) / (nu * nv)
 
     def bw(g):
-        du = g * (vd / (nu * nv) - rho * ud / (nu * nu))
-        dv = g * (ud / (nu * nv) - rho * vd / (nv * nv))
+        du = g * (vd / (nu * nv) - rho * ud / (nu * nu)) if u.requires_grad else None
+        dv = g * (ud / (nu * nv) - rho * vd / (nv * nv)) if v.requires_grad else None
         return (du, dv)
 
     return _make(np.asarray(rho, dtype=ud.dtype), (u, v), bw)

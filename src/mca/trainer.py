@@ -9,6 +9,14 @@ computed per layer on the adaptor inputs, masks are decoded from the final
 layer, the objective is combined and backpropagated, and AdamW updates the
 adaptor and decoder weights only.  Frozen encoder tensors are never updated.
 
+With no adaptor active (``decoder_only``) no tunable tensor lies upstream of
+the final tokens, so they are a fixed function of the image: ``train``
+computes them for the whole train split once per session (``trunk_tokens``,
+after any resume load), and every step and every train dice decodes that
+cache instead of running the encoder again.  The cache is built in
+``batch_size`` chunks in manifest order, as ``predict`` runs, and a step
+takes the rows of its shuffled batch.
+
 All randomness derives from the config seed through fixed-purpose
 SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
 step stream of an uninterrupted run.
@@ -231,6 +239,31 @@ def _clear_grads(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
+def trunk_tokens(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: bool,
+                 chunk: int) -> np.ndarray:
+    """Final-layer tokens [N, K, d] of N images [C, H, W], ``chunk`` images per pass.
+
+    Eager (no tape).
+    """
+    if chunk < 1:
+        raise ContractError(f"trunk chunk must be >= 1, got {chunk}")
+    tokens = []
+    for start in range(0, len(images), chunk):
+        x0 = tokenize(np.stack(images[start:start + chunk]), model.encoder_cfg, model.encoder)
+        xs, _ = encoder_forward(x0, model.encoder, adaptors_enabled)
+        tokens.append(xs[-1].data)
+    return np.concatenate(tokens)
+
+
+def _decode_maps(model: ModelState, tokens: np.ndarray, chunk: int) -> np.ndarray:
+    """Probability maps [N, H, W] of final tokens [N, K, d], ``chunk`` maps per pass."""
+    return np.concatenate([
+        decode_mask(Tensor(tokens[start:start + chunk]), model.decoder,
+                    model.encoder_cfg.patch_size).data
+        for start in range(0, len(tokens), chunk)
+    ])
+
+
 def predict(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: bool,
             chunk: int) -> np.ndarray:
     """Probability maps [N, H, W] of N images [C, H, W], ``chunk`` images per pass.
@@ -238,14 +271,7 @@ def predict(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: b
     Eager (no tape).  Every caller that must agree on thresholded masks
     (train dice, ``evaluate``, ``dump-masks``) passes the run's batch size.
     """
-    if chunk < 1:
-        raise ContractError(f"predict chunk must be >= 1, got {chunk}")
-    maps = []
-    for start in range(0, len(images), chunk):
-        x0 = tokenize(np.stack(images[start:start + chunk]), model.encoder_cfg, model.encoder)
-        xs, _ = encoder_forward(x0, model.encoder, adaptors_enabled)
-        maps.append(decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size).data)
-    return np.concatenate(maps)
+    return _decode_maps(model, trunk_tokens(model, images, adaptors_enabled, chunk), chunk)
 
 
 def _layer_mean(losses: List[Tensor]) -> Tensor:
@@ -260,25 +286,35 @@ def step_objective(
     masks: np.ndarray,
     cfg: TrainConfig,
     pair_rng: Optional[np.random.Generator],
+    tokens: Optional[np.ndarray] = None,
 ) -> Tuple[Tensor, Dict[str, object]]:
     """The training objective of one batch, as one batched tape.
 
     ``images`` and ``views`` (the augmented views, used only with the
     sample-level loss) are [B, C, H, W]; ``masks`` is [B, H, W].  With a
     binding ``token_pair_limit``, ``pair_rng`` draws the kept negatives in
-    the order image, then layer, then anchor.  Returns the weighted total
-    and its terms ``bce``, ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that
-    is off is the float 0.0).
+    the order image, then layer, then anchor.  ``tokens``, the images'
+    final trunk tokens [B, K, d] from ``trunk_tokens``, replaces the encoder
+    pass; it is accepted only with adaptors off, where nothing upstream of
+    them trains.  Returns the weighted total and its terms ``bce``,
+    ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that is off is the float
+    0.0).
     """
     enc = model.encoder
     contrast = ContrastConfig(temperature=cfg.temperature)
-    x0 = tokenize(images, model.encoder_cfg, enc)
-    xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
-    # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = what
-    # layer i consumed), not on the layer outputs: the token loss aligns the
-    # residual with the tokens it was computed from.
-    x_in = [x0] + xs[:-1]
-    pair = MaskPair(decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size), masks)
+    if tokens is None:
+        x0 = tokenize(images, model.encoder_cfg, enc)
+        xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
+        # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = what
+        # layer i consumed), not on the layer outputs: the token loss aligns
+        # the residual with the tokens it was computed from.
+        x_in = [x0] + xs[:-1]
+        final = xs[-1]
+    elif cfg.adaptors_enabled:
+        raise ContractError(f"cached trunk tokens need adaptors off, variant is {cfg.variant!r}")
+    else:
+        final = Tensor(tokens)
+    pair = MaskPair(decode_mask(final, model.decoder, model.encoder_cfg.patch_size), masks)
     terms: Dict[str, object] = {
         "bce": bce_loss(pair), "iou_loss": iou_loss(pair), "cl_t": 0.0, "cl_s": 0.0,
     }
@@ -327,6 +363,7 @@ def _train_step(
     epoch: int,
     step_in_epoch: int,
     global_step: int,
+    tokens: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
     images = np.stack([s.image for s in batch])
     masks = np.stack([s.mask for s in batch])
@@ -346,7 +383,7 @@ def _train_step(
 
     try:
         with Graph() as g:
-            total, terms = step_objective(model, images, views, masks, cfg, pair_rng)
+            total, terms = step_objective(model, images, views, masks, cfg, pair_rng, tokens)
             backward(g, total)
     except (TrainingAbortError, DegenerateInputError) as exc:
         # A zero-norm embedding or token row in a contrastive term, or a
@@ -369,8 +406,13 @@ def _train_step(
     return out
 
 
-def _train_set_dice(model: ModelState, samples: List[Sample], cfg: TrainConfig) -> float:
-    maps = predict(model, [s.image for s in samples], cfg.adaptors_enabled, cfg.batch_size)
+def _train_set_dice(model: ModelState, samples: List[Sample], cfg: TrainConfig,
+                    trunk: Optional[np.ndarray] = None) -> float:
+    """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens."""
+    if trunk is None:
+        trunk = trunk_tokens(model, [s.image for s in samples], cfg.adaptors_enabled,
+                             cfg.batch_size)
+    maps = _decode_maps(model, trunk, cfg.batch_size)
     scores = [dice_iou(EvalPair(m, s.mask))[0] for m, s in zip(maps, samples)]
     return float(np.mean(scores))
 
@@ -437,6 +479,9 @@ def train(
     global_step = start_step
     start_epoch = start_step // steps_per_epoch if steps_per_epoch else 0
     start_offset = start_step % steps_per_epoch if steps_per_epoch else 0
+    # Built after any resume load, which sets the frozen weights it depends on.
+    trunk = (None if cfg.adaptors_enabled
+             else trunk_tokens(model, [s.image for s in samples], False, cfg.batch_size))
 
     log: List[Dict[str, float]] = []
     suspended = False
@@ -458,7 +503,8 @@ def train(
             lr = cosine_lr(global_step, total_steps, cfg.lr_start, cfg.lr_end)
             if epoch_lr is None:
                 epoch_lr = lr
-            terms = _train_step(model, batch, cfg, lr, opt, epoch, b, global_step)
+            terms = _train_step(model, batch, cfg, lr, opt, epoch, b, global_step,
+                                None if trunk is None else trunk[idxs])
             global_step += 1
             n_steps += 1
             for k in sums:
@@ -468,7 +514,7 @@ def train(
         row = {"epoch": float(epoch), "lr": float(epoch_lr if epoch_lr is not None else 0.0)}
         for k in sums:
             row[k] = sums[k] / n_steps
-        row["train_dice"] = _train_set_dice(model, samples, cfg)
+        row["train_dice"] = _train_set_dice(model, samples, cfg, trunk)
         log.append(row)
 
     return TrainResult(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mca.checkpoint import load_checkpoint
+from mca.cli import CONFIG_NAME, LOG_NAME, main
 from mca.config import TrainConfig
 from mca.metrics import parse_report_csv
 from mca.netpbm import load_mask
@@ -124,6 +125,30 @@ def test_gradcheck_command_passes():
     res = _run("gradcheck", "--seeds", "2", "--tol", "1e-4", timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "PASS" in res.stdout
+
+
+@pytest.mark.parametrize("name", [LOG_NAME, CONFIG_NAME])
+def test_failed_write_keeps_existing_file(cli_workspace, tmp_path, monkeypatch, capsys, name):
+    out = tmp_path / "run"
+    out.mkdir()
+    old = b"epoch\n0\n"
+    (out / name).write_bytes(old)
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(f"no space left for {name}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code = main([
+        "train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+        "--set", f"out_dir={out}", "--set", "epochs=1", "--set", "variant=decoder_only",
+    ])
+    assert code == 1
+    assert f"no space left for {name}" in capsys.readouterr().err
+    assert (out / name).read_bytes() == old
+    assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
 
 
 def test_train_epochs_zero_checkpoint_equals_init(cli_workspace, tmp_path):

@@ -139,6 +139,44 @@ def test_frozen_tensor_gets_no_grad():
     assert a.grad is not None
 
 
+_BINARY_PRIMITIVES = {
+    "add": (lambda a, b: T.add(a, b), (3, 4), (4,)),
+    "sub": (lambda a, b: T.sub(a, b), (3, 4), (4,)),
+    "mul": (lambda a, b: T.mul(a, b), (3, 4), (4,)),
+    "div": (lambda a, b: T.div(a, b), (3, 4), (4,)),
+    "matmul_weight": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
+    "matmul_batched": (lambda a, b: T.matmul(a, b), (2, 3, 4), (2, 4, 5)),
+    "cosine_similarity": (lambda a, b: T.cosine_similarity(a, b), (4,), (4,)),
+}
+
+
+def _primitive_backward(fn, arrays, live):
+    """The tape's one node's backward outputs, with only ``live`` operands tunable."""
+    ops = [T.Tensor(x, requires_grad=i in live) for i, x in enumerate(arrays)]
+    with T.Graph() as g:
+        out = fn(*ops)
+    (node,) = g._tape
+    return node.backward_fn(np.ones_like(out.data))
+
+
+@pytest.mark.parametrize("name", sorted(_BINARY_PRIMITIVES) + ["layer_norm"])
+def test_backward_skips_frozen_operands(name):
+    rng = np.random.default_rng(5)
+    if name == "layer_norm":
+        fn, shapes = T.layer_norm, [(2, 3, 4), (4,), (4,)]
+    else:
+        fn, *shapes = _BINARY_PRIMITIVES[name]
+    arrays = [rng.uniform(0.5, 1.5, shape) for shape in shapes]
+    every = _primitive_backward(fn, arrays, live=range(len(arrays)))
+    for live in range(len(arrays)):
+        got = _primitive_backward(fn, arrays, live={live})
+        for i, gin in enumerate(got):
+            if i == live:
+                np.testing.assert_array_equal(gin, every[i])
+            else:
+                assert gin is None, (name, live, i)
+
+
 def test_detach_blocks_gradient():
     a = T.Tensor([3.0], requires_grad=True)
     with T.Graph() as g:

@@ -3,6 +3,8 @@
 import math
 import os
 
+import mca.trainer as trainer_mod
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
 from mca.objectives import decode_mask
 from mca.synthdata import load_split
-from mca.tensor import Tensor, set_default_dtype
+from mca.tensor import Graph, Tensor, backward, set_default_dtype
 from mca.trainer import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -406,6 +408,85 @@ def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
                                 model.encoder, True)
         want = decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size).data
         assert np.max(np.abs(got - want)) <= PREDICT_ATOL
+
+
+def _decoder_only_session(cfg, tmp_path, stop, recompute, monkeypatch):
+    """Run ``cfg``, split at ``stop`` steps when given; return the results and encoder calls.
+
+    ``recompute`` hides the cached trunk from the step and the train dice,
+    so each step runs the encoder through ``step_objective`` itself.
+    """
+    calls = []
+
+    def counted_forward(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return encoder_forward(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(trainer_mod, "encoder_forward", counted_forward)
+        if recompute:
+            objective, dice = trainer_mod.step_objective, trainer_mod._train_set_dice
+            m.setattr(trainer_mod, "step_objective", lambda *args: objective(*args[:6]))
+            m.setattr(trainer_mod, "_train_set_dice", lambda *args: dice(*args[:3]))
+        if stop is None:
+            return [train(cfg)], calls
+        first = train(cfg, stop_after_steps=stop)
+        path = str(tmp_path / f"split-{recompute}.mcaf")
+        save_result(first, path)
+        return [first, train(cfg, resume_from=path)], calls
+
+
+@pytest.mark.parametrize("stop", [None, 4], ids=["whole", "resumed_mid_epoch"])
+def test_trunk_cache_matches_recomputed_trunk(small_cfg, tmp_path, monkeypatch, stop):
+    # 8 images in batches of 3: steps of 3, 3 and 2 images; step 4 is the
+    # second step of epoch 1, so the split falls inside an epoch.
+    cfg = small_cfg(variant="decoder_only", batch_size=3, epochs=2)
+    cached, cached_calls = _decoder_only_session(cfg, tmp_path, stop, False, monkeypatch)
+    plain, _ = _decoder_only_session(cfg, tmp_path, stop, True, monkeypatch)
+    # One trunk pass per session, in batch-size chunks; no step runs the encoder.
+    assert cached_calls == [3, 3, 2] * len(cached)
+    for got, want in zip(cached, plain):
+        assert got.step == want.step
+        assert log_to_csv(got.log) == log_to_csv(want.log)
+        assert list(got.tensors) == list(want.tensors)
+        for name, arr in want.tensors.items():
+            np.testing.assert_array_equal(got.tensors[name], arr, err_msg=name)
+    assert cached[-1].step == 6
+
+
+def test_cached_tokens_refused_with_adaptors(small_cfg, tiny_dataset):
+    cfg = small_cfg(variant="adaptor_plain")
+    model, images, views, masks = _objective_inputs(cfg, tiny_dataset, ())
+    tokens = trainer_mod.trunk_tokens(model, list(images), False, 4)
+    with pytest.raises(ContractError, match="adaptors off"):
+        step_objective(model, images, views, masks, cfg, None, tokens)
+
+
+def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
+    """Gradients of one ``step_objective`` backward, by tensor name."""
+    model, images, views, masks = _objective_inputs(cfg, tiny_dataset, (0, 1))
+    named = named_tensors(model)
+    for name in frozen_names(model, cfg):
+        named[name].requires_grad = frozen_requires_grad
+    with Graph() as g:
+        total, _ = step_objective(model, images, views, masks, cfg, None)
+        backward(g, total)
+    return {name: t.grad for name, t in named.items()}
+
+
+@pytest.mark.parametrize("variant", ["decoder_only", "adaptor_plain", "mca"])
+def test_frozen_weights_get_no_gradient(small_cfg, tiny_dataset, variant):
+    cfg = small_cfg(variant=variant)
+    model = init_model(cfg)
+    frozen, tunable = frozen_names(model, cfg), tunable_names(model, cfg)
+    grads = _step_gradients(cfg, tiny_dataset, False)
+    assert [n for n in frozen if grads[n] is not None] == []
+    # Differentiating the frozen weights too must not move a tunable bit.
+    every = _step_gradients(cfg, tiny_dataset, True)
+    assert every["patch_proj.w"] is not None
+    for name in tunable:
+        assert grads[name] is not None, name
+        np.testing.assert_array_equal(grads[name], every[name], err_msg=name)
 
 
 def test_model_round_trips_through_checkpoint(small_cfg, tmp_path):

@@ -5,7 +5,9 @@ transformer residual stream; the sample adaptor projects the mean-pooled
 token matrix to one embedding per image and exists only as a training-time
 loss branch.  Both InfoNCE losses contrast matched pairs (same token index,
 or same sample) against the cross-view mismatched pairs, with cosine
-similarity at temperature ``temperature``.
+similarity at temperature ``temperature`` taken for all pairs at once as
+``matmul(normalize_rows(x), normalize_rows(y)^T)``.  The token loss drops
+negatives only through a caller's mask (``negatives=``, see ``negative_mask``).
 """
 
 from __future__ import annotations
@@ -56,16 +58,13 @@ class SampleAdaptorWeights:
 
 @dataclass(frozen=True)
 class ContrastConfig:
-    """InfoNCE settings: temperature and an optional cap on token negatives."""
+    """InfoNCE settings: the similarity temperature."""
 
     temperature: float = 0.1
-    token_pair_limit: Optional[int] = None
 
     def __post_init__(self):
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.token_pair_limit is not None and self.token_pair_limit < 1:
-            raise ConfigError("token_pair_limit must be a positive count or None")
 
 
 # Tunable-weight init scale of the token down-projection and the sample
@@ -86,8 +85,7 @@ def _check_bottleneck(d: int, r: int) -> int:
     return d // r
 
 
-def init_token_adaptor(d: int, r: int, rng: np.random.Generator,
-                       init_std: float = ADAPTOR_INIT_STD) -> TokenAdaptorWeights:
+def init_token_adaptor(d: int, r: int, rng: np.random.Generator) -> TokenAdaptorWeights:
     """Seeded-random down-projection, zero up-projection and biases.
 
     Zero w_up guarantees the adapted forward starts exactly at the frozen
@@ -95,15 +93,14 @@ def init_token_adaptor(d: int, r: int, rng: np.random.Generator,
     """
     dr = _check_bottleneck(d, r)
     return TokenAdaptorWeights(
-        w_down=Tensor(rng.normal(0.0, init_std, (d, dr)), requires_grad=True),
+        w_down=Tensor(rng.normal(0.0, ADAPTOR_INIT_STD, (d, dr)), requires_grad=True),
         b_down=Tensor(np.zeros(dr), requires_grad=True),
         w_up=Tensor(np.zeros((dr, d)), requires_grad=True),
         b_up=Tensor(np.zeros(d), requires_grad=True),
     )
 
 
-def init_sample_adaptor(d: int, r: int, rng: np.random.Generator,
-                        init_std: float = ADAPTOR_INIT_STD) -> SampleAdaptorWeights:
+def init_sample_adaptor(d: int, r: int, rng: np.random.Generator) -> SampleAdaptorWeights:
     """Seeded-random init throughout.
 
     Unlike the token adaptor, w_up here is random rather than zero: the
@@ -111,8 +108,8 @@ def init_sample_adaptor(d: int, r: int, rng: np.random.Generator,
     equivalence property and would make the embedding zero-norm (its cosine,
     and therefore the sample-level loss, would be undefined at step 0).
 
-    w_p and w_down are drawn at fan-in scale (std 1/sqrt(d)); ``init_std``
-    applies to w_up only.  At ``init_std`` through both projections the
+    w_p and w_down are drawn at fan-in scale (std 1/sqrt(d)), w_up at
+    ``ADAPTOR_INIT_STD``.  At that scale through both projections the
     pre-GELU variance compounds, so every bottleneck unit of an image could
     sit far enough below zero that the whole hidden vector, and with it the
     embedding, is zero.  The draws keep their order and count, so every
@@ -125,7 +122,7 @@ def init_sample_adaptor(d: int, r: int, rng: np.random.Generator,
         b_p=Tensor(np.zeros(d), requires_grad=True),
         w_down=Tensor(rng.normal(0.0, fan_in_std, (d, dr)), requires_grad=True),
         b_down=Tensor(np.zeros(dr), requires_grad=True),
-        w_up=Tensor(rng.normal(0.0, init_std, (dr, d)), requires_grad=True),
+        w_up=Tensor(rng.normal(0.0, ADAPTOR_INIT_STD, (dr, d)), requires_grad=True),
         b_up=Tensor(np.zeros(d), requires_grad=True),
     )
 
@@ -187,32 +184,18 @@ def _infonce_from_pairs(x: Tensor, y: Tensor, temperature: float,
 
 
 def token_contrastive_loss(x: Tensor, y: Tensor, cfg: ContrastConfig,
-                           rng: Optional[np.random.Generator] = None,
                            negatives: Optional[np.ndarray] = None) -> Tensor:
     """Token-level InfoNCE over K anchor tokens; exactly 0 at K=1.
 
     ``x`` and ``y`` are one image's tokens [K, d] or a batch [..., K, d];
-    the loss of a batch is the mean of its per-image losses.  When
-    ``cfg.token_pair_limit`` binds (K - 1 > limit), each anchor keeps
-    ``limit`` negatives: the additive [..., K, K] mask ``negatives`` when
-    given, else masks drawn from ``rng`` with ``negative_mask``, one image
-    after another in leading-index order.
+    the loss of a batch is the mean of its per-image losses.  Every other
+    token of the view is a negative unless ``negatives``, an additive
+    [..., K, K] mask from ``negative_mask``, drops some.
     """
     if x.ndim < 2 or x.shape != y.shape:
         raise ShapeError(f"token loss needs equal [..., K, d] inputs, got {x.shape}/{y.shape}")
-    n = x.shape[-2]
-    if n < 1:
+    if x.shape[-2] < 1:
         raise ContractError("token loss needs at least one token")
-    limit = cfg.token_pair_limit
-    if negatives is None and limit is not None and n - 1 > limit:
-        if rng is None:
-            raise ContractError(
-                "token_pair_limit subsampling requires an rng (session seed)"
-            )
-        lead = x.shape[:-2]
-        masks = [negative_mask(n, limit, rng, x.data.dtype)
-                 for _ in range(int(np.prod(lead, dtype=int)))]
-        negatives = np.stack(masks).reshape(*lead, n, n)
     return _infonce_from_pairs(x, y, cfg.temperature, negatives)
 
 
@@ -220,8 +203,7 @@ def sample_contrastive_loss(eps: Tensor, eps_aug: Tensor, cfg: ContrastConfig) -
     """Sample-level InfoNCE over B embeddings [B, d]; exactly 0 at B=1.
 
     Each embedding's positive is its own augmented view; every other
-    augmented view of the batch is a negative (``token_pair_limit`` does not
-    apply here).
+    augmented view of the batch is a negative.
     """
     if eps.ndim != 2 or eps.shape != eps_aug.shape:
         raise ContractError(

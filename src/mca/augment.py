@@ -45,10 +45,6 @@ def parse_strategy(text: str) -> AugmentStrategy:
     return AugmentStrategy(ops=parts)
 
 
-def strategy_text(strategy: AugmentStrategy) -> str:
-    return "+".join(strategy.ops)
-
-
 def _check_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:

@@ -155,8 +155,3 @@ def combine_losses(
         piece = mul(t, float(w))
         total = piece if total is None else total + piece
     return total
-
-
-def total_loss(pair: MaskPair, cl_t, cl_s, weights: Sequence[float]) -> Tensor:
-    """Full objective on one mask pair plus given contrastive terms."""
-    return combine_losses(bce_loss(pair), iou_loss(pair), cl_t, cl_s, weights)

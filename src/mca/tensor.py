@@ -13,6 +13,9 @@ operands that do not require one (frozen weights, constants).
 Two float widths are supported as a global session setting
 (``set_default_dtype``): float32 for training, float64 for the
 finite-difference gradient checks.  Widths are never mixed within one graph.
+
+Operator sugar covers ``+`` and ``*``; other primitives are called by name.
+Row operations (softmax, logsumexp, normalize) act on the last axis.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class Tensor:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant copy sharing no graph history."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -74,32 +73,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 class _Node:
@@ -187,7 +162,8 @@ def backward(graph: Graph, loss: Tensor) -> None:
             if gin is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                t.grad = gin.astype(t.data.dtype, copy=True)
+                # Nothing writes a gradient in place, so the first may share its array.
+                t.grad = gin.astype(t.data.dtype, copy=False)
             else:
                 t.grad = t.grad + gin
 
@@ -347,17 +323,6 @@ def diag_part(a) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
-def sum_all(a) -> Tensor:
-    a = _wrap(a)
-    out = a.data.sum()
-    shape = a.shape
-
-    def bw(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make(np.asarray(out), (a,), bw)
-
-
 def mean_all(a) -> Tensor:
     a = _wrap(a)
     out = a.data.mean()
@@ -435,37 +400,20 @@ def softmax_rows(a) -> Tensor:
     a = _wrap(a)
     if a.ndim < 1:
         raise ShapeError(f"softmax_rows needs at least one axis, got {a.shape}")
-    shape, n = a.shape, a.shape[-1]
-    # The kernels take 2-D rows.
-    s = kernels.softmax_rows_forward(a.data.reshape(-1, n)).reshape(shape)
+    s = kernels.softmax_rows_forward(a.data)
 
     def bw(g):
-        return (kernels.softmax_rows_backward(s.reshape(-1, n), g.reshape(-1, n)).reshape(shape),)
+        return (kernels.softmax_rows_backward(s, g),)
 
     return _make(s, (a,), bw)
 
 
-def logsumexp(a) -> Tensor:
-    """log(sum(exp(x))) of a 1-D tensor, max-shifted; returns a scalar."""
-    a = _wrap(a)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ShapeError(f"logsumexp needs a nonempty 1-D tensor, got {a.shape}")
-    lse = kernels.logsumexp_rows_forward(a.data[None, :])[0]
-    ad = a.data
-
-    def bw(g):
-        soft = np.exp(ad - lse)
-        return (g * soft,)
-
-    return _make(np.asarray(lse), (a,), bw)
-
-
 def logsumexp_rows(a) -> Tensor:
-    """logsumexp over the last axis: [..., n] -> [...]."""
+    """logsumexp over the last axis: [..., n] -> [...]; a 1-D input gives a 0-d scalar."""
     a = _wrap(a)
     if a.ndim < 1 or a.shape[-1] < 1:
         raise ShapeError(f"logsumexp_rows needs a nonempty last axis, got {a.shape}")
-    lse = kernels.logsumexp_rows_forward(a.data.reshape(-1, a.shape[-1])).reshape(a.shape[:-1])
+    lse = np.asarray(kernels.logsumexp_rows_forward(a.data))
     ad = a.data
 
     def bw(g):
@@ -510,26 +458,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 # similarity
 # ---------------------------------------------------------------------------
-
-def cosine_similarity(u, v) -> Tensor:
-    """cos(u, v) for 1-D vectors; errors on a zero-norm argument."""
-    u, v = _wrap(u), _wrap(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine_similarity needs equal 1-D shapes, got {u.shape}/{v.shape}")
-    ud, vd = u.data, v.data
-    nu = float(np.linalg.norm(ud))
-    nv = float(np.linalg.norm(vd))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine_similarity of a zero-norm vector")
-    rho = float(ud @ vd) / (nu * nv)
-
-    def bw(g):
-        du = g * (vd / (nu * nv) - rho * ud / (nu * nu)) if u.requires_grad else None
-        dv = g * (ud / (nu * nv) - rho * vd / (nv * nv)) if v.requires_grad else None
-        return (du, dv)
-
-    return _make(np.asarray(rho, dtype=ud.dtype), (u, v), bw)
-
 
 def normalize_rows(x) -> Tensor:
     """Scale each row [..., d] to unit Euclidean norm; zero rows are errors."""

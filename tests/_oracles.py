@@ -166,6 +166,7 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     """
     from mca.adaptors import (
         ContrastConfig,
+        negative_mask,
         sample_contrastive_loss,
         sc_forward,
         token_adaptor_is_zero,
@@ -173,12 +174,12 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     )
     from mca.encoder import encoder_forward, tokenize
     from mca.objectives import MaskPair, bce_loss, decode_mask, iou_loss
-    from mca.tensor import Tensor
+    from mca.tensor import Tensor, get_default_dtype
 
     enc, ecfg = model.encoder, model.encoder_cfg
     n_layers = len(enc.layers)
-    contrast = ContrastConfig(temperature=cfg.temperature,
-                              token_pair_limit=cfg.token_pair_limit or None)
+    contrast = ContrastConfig(temperature=cfg.temperature)
+    limit = cfg.token_pair_limit
     live = [i for i in range(n_layers) if not token_adaptor_is_zero(enc.adaptors[i].token)]
     bces, ious, clts = [], [], []
     emb_o = [[] for _ in range(n_layers)]
@@ -191,9 +192,15 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
         bces.append(bce_loss(pair).item())
         ious.append(iou_loss(pair).item())
         if cfg.use_token_loss and cfg.adaptors_enabled and live:
+            n_tok = ecfg.num_tokens
+            negatives = [
+                negative_mask(n_tok, limit, pair_rng, get_default_dtype())
+                if limit and n_tok - 1 > limit else None
+                for _ in live
+            ]
             clts.append(_mean([
-                token_contrastive_loss(x_in[i], ys[i], contrast, pair_rng).item()
-                for i in live
+                token_contrastive_loss(x_in[i], ys[i], contrast, negatives=neg).item()
+                for i, neg in zip(live, negatives)
             ]))
         if cfg.use_sample_loss:
             x0a = tokenize(views[b], ecfg, enc)

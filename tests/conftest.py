@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mca.config import TrainConfig
+from mca.gradcheck import float64_session
 from mca.synthdata import SceneSpec, generate_split, write_dataset
 
 SMALL_GEOMETRY = dict(
@@ -49,6 +50,13 @@ def small_cfg(tiny_dataset, tmp_path):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def f64():
+    """Run the test in the float64 session width, then restore the previous one."""
+    with float64_session():
+        yield
 
 
 # One line per acceptance criterion, echoed after the run so the verdicts

@@ -9,6 +9,7 @@ from mca.adaptors import (
     ContrastConfig,
     init_sample_adaptor,
     init_token_adaptor,
+    negative_mask,
     sample_contrastive_loss,
     sc_forward,
     tc_forward,
@@ -20,13 +21,6 @@ from mca.encoder import encoder_forward, init_encoder_state, tokenize
 from mca.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from mca.gradcheck import E2E_BOTTLENECK, E2E_CONFIG
 from mca.tensor import Tensor, set_default_dtype
-
-
-@pytest.fixture
-def f64():
-    set_default_dtype("float64")
-    yield
-    set_default_dtype("float32")
 
 
 def test_token_adaptor_init_shapes_and_zero_residual(rng):
@@ -115,8 +109,6 @@ def test_contrast_config_validation():
         ContrastConfig(temperature=0.0)
     with pytest.raises(ConfigError):
         ContrastConfig(temperature=-1.0)
-    with pytest.raises(ConfigError):
-        ContrastConfig(token_pair_limit=0)
 
 
 def test_token_loss_single_token_is_exactly_zero():
@@ -197,32 +189,22 @@ def test_pair_limit_subsampling_rules(f64):
     rng_data = np.random.default_rng(4)
     x = Tensor(rng_data.normal(size=(5, 6)))
     y = Tensor(rng_data.normal(size=(5, 6)))
-    full = float(token_contrastive_loss(x, y, ContrastConfig()).data)
-    # A limit of at least n-1 keeps every negative: identical to unlimited.
-    capped = float(
-        token_contrastive_loss(
-            x, y, ContrastConfig(token_pair_limit=4), rng=np.random.default_rng(0)
-        ).data
-    )
+    cfg = ContrastConfig()
+    full = float(token_contrastive_loss(x, y, cfg).data)
+    # A mask keeping all n-1 negatives is identical to no mask.
+    every = negative_mask(5, 4, np.random.default_rng(0), np.float64)
+    assert np.all(every == 0.0)
+    capped = float(token_contrastive_loss(x, y, cfg, negatives=every).data)
     assert abs(full - capped) < 1e-12
-    big = float(
-        token_contrastive_loss(
-            x, y, ContrastConfig(token_pair_limit=100), rng=np.random.default_rng(0)
-        ).data
-    )
-    assert abs(full - big) < 1e-12
-    # A binding limit requires an rng.
-    with pytest.raises(ContractError):
-        token_contrastive_loss(x, y, ContrastConfig(token_pair_limit=2))
-    # And is deterministic given the same rng seed.
+    # A binding mask is deterministic given the same rng seed.
     a = float(
         token_contrastive_loss(
-            x, y, ContrastConfig(token_pair_limit=2), rng=np.random.default_rng(9)
+            x, y, cfg, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
         ).data
     )
     b = float(
         token_contrastive_loss(
-            x, y, ContrastConfig(token_pair_limit=2), rng=np.random.default_rng(9)
+            x, y, cfg, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
         ).data
     )
     assert a == b
@@ -239,17 +221,6 @@ def test_sample_loss_checks_batch_shapes():
         sample_contrastive_loss(Tensor(e[None]), Tensor(ea[None]), cfg)
 
 
-def test_sample_loss_ignores_token_pair_limit(f64):
-    # The cap applies to token negatives only; the sample loss always
-    # contrasts against every other view and needs no rng.
-    rng_data = np.random.default_rng(6)
-    e = Tensor(rng_data.normal(size=(5, 4)))
-    ea = Tensor(rng_data.normal(size=(5, 4)))
-    full = float(sample_contrastive_loss(e, ea, ContrastConfig()).data)
-    capped = float(sample_contrastive_loss(e, ea, ContrastConfig(token_pair_limit=1)).data)
-    assert full == capped
-
-
 def test_token_loss_view_count_mismatch():
     cfg = ContrastConfig()
     with pytest.raises(ShapeError):
@@ -262,10 +233,13 @@ def test_token_loss_of_batch_is_mean_of_per_image_losses(f64):
     rng_data = np.random.default_rng(12)
     x = rng_data.normal(size=(3, 5, 6))
     y = rng_data.normal(size=(3, 5, 6))
-    for cfg in (ContrastConfig(), ContrastConfig(token_pair_limit=2)):
-        # With a binding limit, one rng draws the images' negatives in order.
-        rng_b, rng_i = np.random.default_rng(4), np.random.default_rng(4)
-        batched = float(token_contrastive_loss(Tensor(x), Tensor(y), cfg, rng_b).data)
-        per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), cfg, rng_i).data)
+    cfg = ContrastConfig()
+    # With binding masks, one rng draws the images' masks in order.
+    rng = np.random.default_rng(4)
+    drawn = np.stack([negative_mask(5, 2, rng, np.float64) for _ in range(3)])
+    for masks in (None, drawn):
+        batched = float(token_contrastive_loss(Tensor(x), Tensor(y), cfg, masks).data)
+        per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), cfg,
+                                                  None if masks is None else masks[b]).data)
                      for b in range(3)]
         assert batched == pytest.approx(np.mean(per_image), rel=1e-12, abs=0.0)

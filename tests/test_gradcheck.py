@@ -6,7 +6,7 @@ from mca.gradcheck import SUITES, float64_session, run_gradcheck
 from mca.tensor import get_default_dtype
 
 REQUIRED_OPS = (
-    "gelu", "matmul", "cosine_similarity", "logsumexp",
+    "gelu", "matmul", "normalize_rows", "logsumexp",
     "tc_forward", "sc_forward", "token_infonce", "sample_infonce",
     "bce_loss", "iou_loss", "layer_forward", "decode_mask", "total_loss",
 )

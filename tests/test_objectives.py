@@ -15,16 +15,8 @@ from mca.objectives import (
     decode_mask,
     init_decoder,
     iou_loss,
-    total_loss,
 )
-from mca.tensor import Graph, Tensor, backward, set_default_dtype
-
-
-@pytest.fixture
-def f64():
-    set_default_dtype("float64")
-    yield
-    set_default_dtype("float32")
+from mca.tensor import Graph, Tensor, backward
 
 
 def test_bce_known_value(f64):
@@ -165,7 +157,8 @@ def test_total_loss_zero_weights_zero_value_and_gradient(f64):
     g = np.array([[1.0, 0.0], [1.0, 0.0]])
     with Graph() as graph:
         pred = Tensor(np.full((2, 2), 0.3), requires_grad=True)
-        loss = total_loss(MaskPair(pred, g), cl_t=0.7, cl_s=0.9, weights=(0, 0, 0, 0))
+        pair = MaskPair(pred, g)
+        loss = combine_losses(bce_loss(pair), iou_loss(pair), 0.7, 0.9, (0, 0, 0, 0))
         assert float(loss.data) == 0.0
         backward(graph, loss)
     np.testing.assert_array_equal(pred.grad, np.zeros((2, 2)))
@@ -176,7 +169,7 @@ def test_total_loss_matches_manual_combination(f64):
     pred = Tensor(np.array([[0.9, 0.1], [0.8, 0.2]]))
     pair = MaskPair(pred, g)
     w = (1.0, 1.0, 1.0, 1.0)
-    total = float(total_loss(pair, cl_t=0.25, cl_s=0.5, weights=w).data)
+    total = float(combine_losses(bce_loss(pair), iou_loss(pair), 0.25, 0.5, w).data)
     manual = float(bce_loss(pair).data) + float(iou_loss(pair).data) + 0.25 + 0.5
     assert abs(total - manual) < 1e-12
 

@@ -16,7 +16,7 @@ from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
 from mca.objectives import decode_mask
 from mca.synthdata import load_split
-from mca.tensor import Graph, Tensor, backward, set_default_dtype
+from mca.tensor import Graph, Tensor, backward
 from mca.trainer import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -46,13 +46,6 @@ from mca.trainer import (
 OBJECTIVE_RTOL = 1e-10
 # Batched and per-image float32 forwards differ at most in summation order.
 PREDICT_ATOL = 1e-6
-
-
-@pytest.fixture
-def f64():
-    set_default_dtype("float64")
-    yield
-    set_default_dtype("float32")
 
 
 def _fresh_opt(model, cfg):

@@ -98,8 +98,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(model, samples, cfg)
     text = report_to_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(text)
+        _write_atomic(args.out, text.encode("ascii"))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -122,8 +121,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     strategies = args.strategies.split(",") if args.strategies else None
     _rows, csv_text = run_ablation(cfg, variants=variants, seeds=seeds, strategies=strategies)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(csv_text)
+        _write_atomic(args.out, csv_text.encode("ascii"))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)

@@ -4,10 +4,11 @@ One training session is a single deterministic sequence of steps.  A step
 is one batched tape over the whole batch (``step_objective``): the original
 images go through the encoder as one [B, K, d] pass with the token adaptor
 residuals, and, when the sample-level loss is active, their augmented views
-as a second [B, K, d] pass through the same encoder.  Contrastive terms are
-computed per layer on the adaptor inputs, masks are decoded from the final
-layer, the objective is combined and backpropagated, and AdamW updates the
-adaptor and decoder weights only.  Frozen encoder tensors are never updated.
+as a second [B, K, d] pass through the first L-1 of the L layers (the loss
+reads only layer inputs).  Contrastive terms are computed per layer on the
+adaptor inputs, masks are decoded from the final layer, the objective is
+combined and backpropagated, and AdamW updates the adaptor and decoder
+weights only.  Frozen encoder tensors are never updated.
 
 With no adaptor active (``decoder_only``) no tunable tensor lies upstream of
 the final tokens, so they are a fixed function of the image: ``train``
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -146,44 +147,34 @@ def init_model(cfg: TrainConfig) -> ModelState:
     )
 
 
+def _tensor_fields(prefix: str, weights) -> List[Tuple[str, Tensor]]:
+    """(prefix + field name, tensor) for each Tensor field, in declaration order."""
+    pairs = ((prefix + f.name, getattr(weights, f.name)) for f in fields(weights))
+    return [(name, t) for name, t in pairs if isinstance(t, Tensor)]
+
+
 def named_tensors(model: ModelState) -> "OrderedDict[str, Tensor]":
-    """Canonical name -> tensor map used for checkpoints and the optimizer."""
-    out: "OrderedDict[str, Tensor]" = OrderedDict()
+    """Checkpoint and optimizer names; past the embeddings, dataclass field order."""
     enc = model.encoder
-    out["patch_proj.w"] = enc.patch_projection
-    out["patch_proj.b"] = enc.patch_bias
-    out["pos_embed"] = enc.position_embedding
+    out: "OrderedDict[str, Tensor]" = OrderedDict([
+        ("patch_proj.w", enc.patch_projection),
+        ("patch_proj.b", enc.patch_bias),
+        ("pos_embed", enc.position_embedding),
+    ])
     for i, layer in enumerate(enc.layers):
-        base = f"layer{i}"
-        for field in ("ln1_g", "ln1_b", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
-                      "w_o", "b_o", "ln2_g", "ln2_b", "w_mlp1", "b_mlp1",
-                      "w_mlp2", "b_mlp2"):
-            out[f"{base}.{field}"] = getattr(layer, field)
+        out.update(_tensor_fields(f"layer{i}.", layer))
     for i, pair in enumerate(enc.adaptors):
-        for field in ("w_down", "b_down", "w_up", "b_up"):
-            out[f"layer{i}.tc.{field}"] = getattr(pair.token, field)
-        for field in ("w_p", "b_p", "w_down", "b_down", "w_up", "b_up"):
-            out[f"layer{i}.sc.{field}"] = getattr(pair.sample, field)
-    out["decoder.w"] = model.decoder.w
-    out["decoder.b"] = model.decoder.b
+        out.update(_tensor_fields(f"layer{i}.tc.", pair.token))
+        out.update(_tensor_fields(f"layer{i}.sc.", pair.sample))
+    out.update(_tensor_fields("decoder.", model.decoder))
     return out
 
 
 def tunable_names(model: ModelState, cfg: TrainConfig) -> List[str]:
-    """Decoder always; token adaptors when enabled; sample adaptors when used."""
-    names = []
-    n = len(model.encoder.adaptors)
-    if cfg.adaptors_enabled:
-        for i in range(n):
-            names += [f"layer{i}.tc.{f}" for f in ("w_down", "b_down", "w_up", "b_up")]
-    if cfg.use_sample_loss:
-        for i in range(n):
-            names += [
-                f"layer{i}.sc.{f}"
-                for f in ("w_p", "b_p", "w_down", "b_down", "w_up", "b_up")
-            ]
-    names += ["decoder.w", "decoder.b"]
-    return names
+    """Token adaptors when enabled, then sample adaptors when used, then the decoder."""
+    groups = [".tc."] * cfg.adaptors_enabled + [".sc."] * cfg.use_sample_loss + ["decoder."]
+    named = named_tensors(model)
+    return [name for group in groups for name in named if group in name]
 
 
 def frozen_names(model: ModelState, cfg: TrainConfig) -> List[str]:
@@ -341,8 +332,11 @@ def step_objective(
 
     if cfg.use_sample_loss:
         x0a = tokenize(views, model.encoder_cfg, enc)
-        xsa, _ = encoder_forward(x0a, enc, cfg.adaptors_enabled and cfg.aug_adapted_forward)
-        xa_in = [x0a] + xsa[:-1]
+        # The sample loss reads each layer's input, so the view pass stops
+        # before the last layer, whose output nothing reads.
+        xsa, _ = encoder_forward(x0a, replace(enc, layers=enc.layers[:-1]),
+                                 cfg.adaptors_enabled and cfg.aug_adapted_forward)
+        xa_in = [x0a] + xsa
         terms["cl_s"] = _layer_mean([
             sample_contrastive_loss(sc_forward(x_in[i], p.sample),
                                     sc_forward(xa_in[i], p.sample), contrast)
@@ -392,11 +386,11 @@ def _train_step(
         raise TrainingAbortError(f"step {global_step}: {exc}") from exc
 
     named = named_tensors(model)
-    for name in tunable_names(model, cfg):
+    for name, state in opt.items():
         tensor = named[name]
         grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         try:
-            adamw_step(tensor, grad, opt[name], lr, name=name)
+            adamw_step(tensor, grad, state, lr, name=name)
         except TrainingAbortError as exc:
             raise TrainingAbortError(f"step {global_step}: {exc}") from exc
     _clear_grads(list(named.values()))
@@ -448,13 +442,9 @@ def train(
     """
     samples = load_split(cfg.data_root, "train")
     model = init_model(cfg)
-    opt = {
-        name: AdamState(
-            m=np.zeros_like(named_tensors(model)[name].data),
-            v=np.zeros_like(named_tensors(model)[name].data),
-        )
-        for name in tunable_names(model, cfg)
-    }
+    named = named_tensors(model)
+    opt = {name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
+           for name in tunable_names(model, cfg)}
     start_step = 0
     if resume_from is not None:
         arrays, config_text, start_step = load_checkpoint(resume_from)
@@ -469,6 +459,10 @@ def train(
             state.m = arrays[keys[0]].astype(np.float32, copy=True)
             state.v = arrays[keys[1]].astype(np.float32, copy=True)
             state.t = int(round(float(arrays[keys[2]])))
+            # Every tunable tensor takes one update per step from step 0.
+            if state.t != start_step:
+                raise ConfigError(f"checkpoint optimizer step {state.t} of tensor {name!r} "
+                                  f"differs from its step counter {start_step}")
 
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -570,8 +564,6 @@ def run_ablation(
     Returns (rows, csv_text); each row holds mean and stddev per metric
     aggregated over seeds (population stddev).
     """
-    from dataclasses import replace
-
     if (variants is None) == (strategies is None):
         raise ContractError("pass exactly one of variants or strategies")
     if not seeds:

@@ -127,10 +127,18 @@ def test_gradcheck_command_passes():
     assert "PASS" in res.stdout
 
 
-@pytest.mark.parametrize("name", [LOG_NAME, CONFIG_NAME])
+@pytest.mark.parametrize("name", [LOG_NAME, CONFIG_NAME, "metrics.csv", "ablate.csv"])
 def test_failed_write_keeps_existing_file(cli_workspace, tmp_path, monkeypatch, capsys, name):
     out = tmp_path / "run"
     out.mkdir()
+    data = cli_workspace["data"]
+    ckpt = os.path.join(cli_workspace["out"], "checkpoint.mcaf")
+    argv = {
+        "metrics.csv": ["eval", "--checkpoint", ckpt, "--data", data, "--out", str(out / name)],
+        "ablate.csv": ["ablate", *SMALL_SETS, "--set", f"data_root={data}", "--set", "epochs=1",
+                       "--variants", "decoder_only", "--out", str(out / name)],
+    }.get(name, ["train", *SMALL_SETS, "--set", f"data_root={data}", "--set", f"out_dir={out}",
+                 "--set", "epochs=1", "--set", "variant=decoder_only"])
     old = b"epoch\n0\n"
     (out / name).write_bytes(old)
     replace = os.replace
@@ -141,10 +149,7 @@ def test_failed_write_keeps_existing_file(cli_workspace, tmp_path, monkeypatch, 
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    code = main([
-        "train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
-        "--set", f"out_dir={out}", "--set", "epochs=1", "--set", "variant=decoder_only",
-    ])
+    code = main(argv)
     assert code == 1
     assert f"no space left for {name}" in capsys.readouterr().err
     assert (out / name).read_bytes() == old

@@ -3,6 +3,7 @@
 import math
 import os
 
+import mca.encoder as encoder_mod
 import mca.trainer as trainer_mod
 
 import numpy as np
@@ -189,6 +190,26 @@ def test_tunable_partition_per_variant(small_cfg):
         assert any(n.startswith("layer0.sc.") for n in tun) == cfg.use_sample_loss
 
 
+def test_registry_names_are_the_checkpoint_format(small_cfg):
+    # The names derive from the weight dataclasses' field order, which the
+    # .mcaf format and the opt.* record order fix; a reordered field fails here.
+    cfg = small_cfg(variant="mca")
+    model = init_model(cfg)
+    tc = ["w_down", "b_down", "w_up", "b_up"]
+    sc = ["w_p", "b_p", "w_down", "b_down", "w_up", "b_up"]
+    assert [n for n in named_tensors(model) if n.startswith("layer0.")] == (
+        ["layer0." + f for f in ("ln1_g", "ln1_b", "w_q", "b_q", "w_k", "b_k", "w_v", "b_v",
+                                 "w_o", "b_o", "ln2_g", "ln2_b", "w_mlp1", "b_mlp1",
+                                 "w_mlp2", "b_mlp2")]
+        + ["layer0.tc." + f for f in tc] + ["layer0.sc." + f for f in sc]
+    )
+    assert tunable_names(model, cfg) == (
+        [f"layer{i}.tc.{f}" for i in range(cfg.num_layers) for f in tc]
+        + [f"layer{i}.sc.{f}" for i in range(cfg.num_layers) for f in sc]
+        + ["decoder.w", "decoder.b"]
+    )
+
+
 def test_init_model_identical_across_variants(small_cfg):
     a = init_model(small_cfg(variant="decoder_only"))
     b = init_model(small_cfg(variant="mca"))
@@ -286,6 +307,17 @@ def test_resume_refuses_missing_optimizer_state(small_cfg, tmp_path):
                if not k.startswith("opt.layer1.tc.w_up.")}
     save_checkpoint(path, tensors, result.config_text, result.step)
     with pytest.raises(ConfigError, match="layer1.tc.w_up"):
+        train(cfg, resume_from=path)
+
+
+def test_resume_refuses_optimizer_step_off_the_step_counter(small_cfg, tmp_path):
+    cfg = small_cfg(variant="adaptor_plain", epochs=1)
+    result = train(cfg, stop_after_steps=1)
+    path = str(tmp_path / "t.mcaf")
+    tensors = dict(result.tensors)
+    tensors["opt.layer0.tc.b_up.t"] = np.asarray(2.0, dtype=np.float32)
+    save_checkpoint(path, tensors, result.config_text, result.step)
+    with pytest.raises(ConfigError, match="layer0.tc.b_up"):
         train(cfg, resume_from=path)
 
 
@@ -401,6 +433,20 @@ def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
                                 model.encoder, True)
         want = decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size).data
         assert np.max(np.abs(got - want)) <= PREDICT_ATOL
+
+
+def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatch):
+    # L layers on the images, L-1 on the views: the sample loss reads only
+    # layer inputs, so the views' last layer output is never computed.
+    cfg = small_cfg(variant="mca")
+    model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
+    forward, calls = encoder_mod.layer_forward, []
+    monkeypatch.setattr(encoder_mod, "layer_forward",
+                        lambda *args: calls.append(None) or forward(*args))
+    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
+    _train_step(model, batch, cfg, cfg.lr_start, _fresh_opt(model, cfg), epoch=0,
+                step_in_epoch=0, global_step=0)
+    assert len(calls) == 2 * cfg.num_layers - 1
 
 
 def _decoder_only_session(cfg, tmp_path, stop, recompute, monkeypatch):

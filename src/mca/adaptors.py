@@ -5,9 +5,11 @@ transformer residual stream; the sample adaptor projects the mean-pooled
 token matrix to one embedding per image and exists only as a training-time
 loss branch.  Both InfoNCE losses contrast matched pairs (same token index,
 or same sample) against the cross-view mismatched pairs, with cosine
-similarity at temperature ``temperature`` taken for all pairs at once as
-``matmul(normalize_rows(x), normalize_rows(y)^T)``.  The token loss drops
-negatives only through a caller's mask (``negatives=``, see ``negative_mask``).
+similarity taken for all pairs at once as
+``matmul(normalize_rows(x), normalize_rows(y)^T)`` and divided by the
+``temperature`` argument (``TrainConfig`` checks that it is positive).  The
+token loss drops negatives only through a caller's mask (``negatives=``, see
+``negative_mask``).
 """
 
 from __future__ import annotations
@@ -54,17 +56,6 @@ class SampleAdaptorWeights:
     b_down: Tensor  # [d/r]
     w_up: Tensor    # [d/r, d]
     b_up: Tensor    # [d]
-
-
-@dataclass(frozen=True)
-class ContrastConfig:
-    """InfoNCE settings: the similarity temperature."""
-
-    temperature: float = 0.1
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
 # Tunable-weight init scale of the token down-projection and the sample
@@ -183,7 +174,7 @@ def _infonce_from_pairs(x: Tensor, y: Tensor, temperature: float,
     return mean_all(sub(denom, diag_part(scaled)))
 
 
-def token_contrastive_loss(x: Tensor, y: Tensor, cfg: ContrastConfig,
+def token_contrastive_loss(x: Tensor, y: Tensor, temperature: float,
                            negatives: Optional[np.ndarray] = None) -> Tensor:
     """Token-level InfoNCE over K anchor tokens; exactly 0 at K=1.
 
@@ -196,10 +187,10 @@ def token_contrastive_loss(x: Tensor, y: Tensor, cfg: ContrastConfig,
         raise ShapeError(f"token loss needs equal [..., K, d] inputs, got {x.shape}/{y.shape}")
     if x.shape[-2] < 1:
         raise ContractError("token loss needs at least one token")
-    return _infonce_from_pairs(x, y, cfg.temperature, negatives)
+    return _infonce_from_pairs(x, y, temperature, negatives)
 
 
-def sample_contrastive_loss(eps: Tensor, eps_aug: Tensor, cfg: ContrastConfig) -> Tensor:
+def sample_contrastive_loss(eps: Tensor, eps_aug: Tensor, temperature: float) -> Tensor:
     """Sample-level InfoNCE over B embeddings [B, d]; exactly 0 at B=1.
 
     Each embedding's positive is its own augmented view; every other
@@ -209,4 +200,4 @@ def sample_contrastive_loss(eps: Tensor, eps_aug: Tensor, cfg: ContrastConfig) -
         raise ContractError(
             f"sample loss needs matching [B, d] batches, got {eps.shape}/{eps_aug.shape}"
         )
-    return _infonce_from_pairs(eps, eps_aug, cfg.temperature)
+    return _infonce_from_pairs(eps, eps_aug, temperature)

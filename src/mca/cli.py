@@ -15,30 +15,11 @@ from typing import List, Optional
 import numpy as np
 
 from .checkpoint import _write_atomic
-from .config import TrainConfig, config_to_text, load_config, parse_override
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataParseError,
-    DegenerateInputError,
-    ShapeError,
-    TrainingAbortError,
-    UndefinedMetricError,
-)
+from .config import TrainConfig, load_config, parse_override
+from .errors import MCAError
 from .metrics import report_to_csv
 from .netpbm import save_pgm
 from .synthdata import KINDS, SceneSpec, generate_split, load_split, write_dataset
-
-_ERRORS = (
-    ShapeError,
-    ContractError,
-    DegenerateInputError,
-    ConfigError,
-    DataParseError,
-    TrainingAbortError,
-    UndefinedMetricError,
-    OSError,
-)
 
 CHECKPOINT_NAME = "checkpoint.mcaf"
 LOG_NAME = "train_log.csv"
@@ -204,7 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _ERRORS as exc:
+    except (MCAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

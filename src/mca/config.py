@@ -19,15 +19,8 @@ VARIANTS = ("decoder_only", "adaptor_plain", "tc_only", "sc_only", "mca")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    # encoder geometry
-    image_size: int = 64
-    patch_size: int = 16
-    channels: int = 3
-    embed_dim: int = 64
-    num_layers: int = 4
-    num_heads: int = 4
-    mlp_ratio: int = 4
+class TrainConfig(EncoderConfig):
+    # The inherited EncoderConfig geometry fields come first in config.txt.
     # adaptors / contrastive
     bottleneck: int = 8          # width-reduction factor; overridable per run
     temperature: float = 0.1
@@ -52,6 +45,7 @@ class TrainConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        super().__post_init__()  # validates geometry divisibility
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.lr_start > self.lr_end > 0):
@@ -71,18 +65,6 @@ class TrainConfig:
         if not self.temperature > 0:
             raise ConfigError("temperature must be positive")
         parse_strategy(self.strategy)  # validates the op set
-        self.encoder_config()          # validates geometry divisibility
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            image_size=self.image_size,
-            patch_size=self.patch_size,
-            channels=self.channels,
-            embed_dim=self.embed_dim,
-            num_layers=self.num_layers,
-            num_heads=self.num_heads,
-            mlp_ratio=self.mlp_ratio,
-        )
 
     @property
     def adaptors_enabled(self) -> bool:
@@ -99,6 +81,10 @@ class TrainConfig:
     @property
     def loss_weights(self):
         return (self.w_bce, self.w_iou, self.w_cl_t, self.w_cl_s)
+
+
+# Config key -> value type, read from each field's default.
+_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def config_to_text(cfg: TrainConfig) -> str:
@@ -129,8 +115,6 @@ def _coerce(name: str, raw: str, target_type: type):
 
 def config_from_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
     """Parse 'key = value' lines; '#' starts a comment; unknown keys error."""
-    known = {f.name: f.type for f in fields(TrainConfig)}
-    types = {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -139,9 +123,9 @@ def config_from_text(text: str, base: Optional[TrainConfig] = None) -> TrainConf
         if "=" not in stripped:
             raise ConfigError(f"config line {lineno} is not 'key = value': {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
-        updates[key] = _coerce(key, raw, types[key])
+        updates[key] = _coerce(key, raw, _TYPES[key])
     base = base if base is not None else TrainConfig()
     return replace(base, **updates)
 
@@ -153,8 +137,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> TrainC
         with open(path, "r", encoding="utf-8") as f:
             cfg = config_from_text(f.read(), base=cfg)
     if overrides:
-        known = {f.name for f in fields(TrainConfig)}
-        bad = set(overrides) - known
+        bad = set(overrides) - _TYPES.keys()
         if bad:
             raise ConfigError(f"unknown config keys in overrides: {sorted(bad)}")
         cfg = replace(cfg, **overrides)
@@ -172,7 +155,6 @@ def parse_override(text: str) -> tuple:
     if "=" not in text:
         raise ConfigError(f"override must look like key=value, got {text!r}")
     key, raw = (part.strip() for part in text.split("=", 1))
-    for f in fields(TrainConfig):
-        if f.name == key:
-            return key, _coerce(key, raw, type(getattr(TrainConfig(), f.name)))
-    raise ConfigError(f"unknown config key {key!r}")
+    if key not in _TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    return key, _coerce(key, raw, _TYPES[key])

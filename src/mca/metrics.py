@@ -196,8 +196,6 @@ class MetricReport:
 def evaluate_dataset(
     pairs: Sequence[EvalPair],
     names: Optional[Sequence[str]] = None,
-    alpha: float = 0.5,
-    threshold: float = 0.5,
 ) -> MetricReport:
     """Score every pair and aggregate arithmetic means, in input order."""
     if len(pairs) == 0:
@@ -208,13 +206,13 @@ def evaluate_dataset(
         raise ContractError("names and pairs must have equal length")
     rows: List[Dict[str, object]] = []
     for name, pair in zip(names, pairs):
-        d, i = dice_iou(pair, threshold)
+        d, i = dice_iou(pair)
         rows.append({
             "image": str(name),
             "mae": mae(pair),
-            "s_measure": s_measure(pair, alpha),
+            "s_measure": s_measure(pair),
             "e_measure": e_measure(pair),
-            "ber": ber(pair, threshold),
+            "ber": ber(pair),
             "dice": d,
             "iou": i,
         })

@@ -20,7 +20,6 @@ Row operations (softmax, logsumexp, normalize) act on the last axis.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -494,53 +493,3 @@ def nearest_upsample(a, factor: int) -> Tensor:
         return (g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1)),)
 
     return _make(out, (a,), bw)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central finite-difference grads.
-
-    ``f`` must be a pure scalar-valued function of ``x``.  Each coordinate's
-    numeric derivative is the fourth-order five-point central stencil
-
-        c = (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / (12 h),
-
-    whose truncation error is O(h^4 f^(5)) rather than the O(h^2 f^(3)) of
-    the three-point difference, so steep objectives are resolved without
-    shrinking ``h`` into float64 round-off.  The error per coordinate is
-    |analytic - c| / max(1, |c|).
-    """
-    if not x.requires_grad:
-        raise ContractError("finite_diff_check requires x.requires_grad")
-    x.grad = None
-    with Graph() as g:
-        loss = f(x)
-        backward(g, loss)
-    analytic = (
-        x.grad.reshape(-1).copy()
-        if x.grad is not None
-        else np.zeros(x.data.size, dtype=x.data.dtype)
-    )
-    x.grad = None
-
-    x.data = np.ascontiguousarray(x.data)  # reshape below must be a view
-    flat = x.data.reshape(-1)
-    max_err = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        vals = []
-        for step in (h, -h, 2.0 * h, -2.0 * h):
-            flat[i] = orig + step
-            vals.append(f(x).item())
-        flat[i] = orig
-        if not all(math.isfinite(v) for v in vals):
-            raise ContractError(f"non-finite evaluation at perturbed coordinate {i}")
-        fp, fm, fp2, fm2 = vals
-        central = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
-        err = abs(float(analytic[i]) - central) / max(1.0, abs(central))
-        if err > max_err:
-            max_err = err
-    return max_err

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptors import (
-    ContrastConfig,
     negative_mask,
     sample_contrastive_loss,
     sc_forward,
@@ -139,10 +138,9 @@ class ModelState:
 def init_model(cfg: TrainConfig) -> ModelState:
     """Seeded model; the same seed yields identical weights for every variant."""
     rng = derive_rng(cfg.seed, _PURPOSE_INIT)
-    enc_cfg = cfg.encoder_config()
     return ModelState(
-        encoder_cfg=enc_cfg,
-        encoder=init_encoder_state(enc_cfg, rng, cfg.bottleneck),
+        encoder_cfg=cfg,
+        encoder=init_encoder_state(cfg, rng, cfg.bottleneck),
         decoder=init_decoder(cfg.embed_dim),
     )
 
@@ -292,7 +290,6 @@ def step_objective(
     0.0).
     """
     enc = model.encoder
-    contrast = ContrastConfig(temperature=cfg.temperature)
     if tokens is None:
         x0 = tokenize(images, model.encoder_cfg, enc)
         xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
@@ -326,7 +323,7 @@ def step_objective(
             negatives = {i: np.stack([row[j] for row in drawn]) for j, i in enumerate(live)}
         if live:
             terms["cl_t"] = _layer_mean([
-                token_contrastive_loss(x_in[i], ys[i], contrast, negatives=negatives[i])
+                token_contrastive_loss(x_in[i], ys[i], cfg.temperature, negatives=negatives[i])
                 for i in live
             ])
 
@@ -339,7 +336,7 @@ def step_objective(
         xa_in = [x0a] + xsa
         terms["cl_s"] = _layer_mean([
             sample_contrastive_loss(sc_forward(x_in[i], p.sample),
-                                    sc_forward(xa_in[i], p.sample), contrast)
+                                    sc_forward(xa_in[i], p.sample), cfg.temperature)
             for i, p in enumerate(enc.adaptors)
         ])
 

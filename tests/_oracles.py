@@ -165,7 +165,6 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     values, so this is a reference for the objective's value only.
     """
     from mca.adaptors import (
-        ContrastConfig,
         negative_mask,
         sample_contrastive_loss,
         sc_forward,
@@ -178,7 +177,6 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
 
     enc, ecfg = model.encoder, model.encoder_cfg
     n_layers = len(enc.layers)
-    contrast = ContrastConfig(temperature=cfg.temperature)
     limit = cfg.token_pair_limit
     live = [i for i in range(n_layers) if not token_adaptor_is_zero(enc.adaptors[i].token)]
     bces, ious, clts = [], [], []
@@ -199,7 +197,7 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
                 for _ in live
             ]
             clts.append(_mean([
-                token_contrastive_loss(x_in[i], ys[i], contrast, negatives=neg).item()
+                token_contrastive_loss(x_in[i], ys[i], cfg.temperature, negatives=neg).item()
                 for i, neg in zip(live, negatives)
             ]))
         if cfg.use_sample_loss:
@@ -213,7 +211,7 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     if cfg.use_sample_loss:
         cl_s = _mean([
             sample_contrastive_loss(Tensor(np.stack(emb_o[i])), Tensor(np.stack(emb_a[i])),
-                                    contrast).item()
+                                    cfg.temperature).item()
             for i in range(n_layers)
         ])
     terms = {"bce": _mean(bces), "iou_loss": _mean(ious), "cl_t": _mean(clts), "cl_s": cl_s}

@@ -27,7 +27,7 @@ from _oracles import (
     oracle_mae,
     oracle_s_measure,
 )
-from mca.adaptors import ContrastConfig, sample_contrastive_loss, token_contrastive_loss
+from mca.adaptors import sample_contrastive_loss, token_contrastive_loss
 from mca.config import TrainConfig
 from mca.encoder import encoder_forward, tokenize
 from mca.gradcheck import float64_session, run_gradcheck
@@ -128,21 +128,20 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
 
 def test_criterion_3_infonce_identities():
     with float64_session():
-        cfg = ContrastConfig(temperature=0.1)
         single_sample = float(
             sample_contrastive_loss(
                 Tensor(np.array([[1.0, 2.0, 3.0]])),
                 Tensor(np.array([[0.5, -1.0, 2.0]])),
-                cfg,
+                0.1,
             ).data
         )
         single_token = float(
             token_contrastive_loss(
-                Tensor(np.array([[1.0, 2.0]])), Tensor(np.array([[3.0, 4.0]])), cfg
+                Tensor(np.array([[1.0, 2.0]])), Tensor(np.array([[3.0, 4.0]])), 0.1
             ).data
         )
         x = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        two_orth = float(token_contrastive_loss(x, x, cfg).data)
+        two_orth = float(token_contrastive_loss(x, x, 0.1).data)
     expected = math.log(1.0 + math.exp(-1.0 / 0.1))
     dev = abs(two_orth - expected)
     ok = single_sample == 0.0 and single_token == 0.0 and dev < 1e-9

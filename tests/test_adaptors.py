@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mca.adaptors import (
-    ContrastConfig,
     init_sample_adaptor,
     init_token_adaptor,
     negative_mask,
@@ -19,7 +18,7 @@ from mca.adaptors import (
 from mca.config import TrainConfig
 from mca.encoder import encoder_forward, init_encoder_state, tokenize
 from mca.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
-from mca.gradcheck import E2E_BOTTLENECK, E2E_CONFIG
+from mca.gradcheck import E2E_TRAIN_CONFIG
 from mca.tensor import Tensor, set_default_dtype
 
 
@@ -69,18 +68,15 @@ def test_sample_embedding_never_zero_at_init(geometry):
     # The sample-level InfoNCE takes the cosine of each embedding, so a
     # freshly initialised sample adaptor must never map the tokens it is fed
     # (each adaptor's input X^i, as in training) to an exactly zero vector.
-    if geometry == "gradcheck":
-        enc_cfg, r = E2E_CONFIG, E2E_BOTTLENECK
-    else:
-        enc_cfg, r = TrainConfig().encoder_config(), TrainConfig().bottleneck
+    cfg = E2E_TRAIN_CONFIG if geometry == "gradcheck" else TrainConfig()
     try:
         for dtype in ("float32", "float64"):
             set_default_dtype(dtype)
             for seed in range(300):
                 rng = np.random.default_rng(seed)
-                state = init_encoder_state(enc_cfg, rng, r)
-                image = rng.random((enc_cfg.channels, enc_cfg.image_size, enc_cfg.image_size))
-                x0 = tokenize(image, enc_cfg, state)
+                state = init_encoder_state(cfg, rng, cfg.bottleneck)
+                image = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
+                x0 = tokenize(image, cfg, state)
                 xs, _ = encoder_forward(x0, state, True)
                 for i, x_in in enumerate([x0] + xs[:-1]):
                     emb = sc_forward(x_in, state.adaptors[i].sample).data
@@ -103,27 +99,17 @@ def test_sc_forward_shape_errors(rng):
         sc_forward(Tensor(np.zeros((3, 7))), w)
 
 
-def test_contrast_config_validation():
-    assert ContrastConfig().temperature == 0.1
-    with pytest.raises(ConfigError):
-        ContrastConfig(temperature=0.0)
-    with pytest.raises(ConfigError):
-        ContrastConfig(temperature=-1.0)
-
-
 def test_token_loss_single_token_is_exactly_zero():
-    cfg = ContrastConfig()
     x = Tensor(np.array([[1.0, 2.0, 3.0]]))
     y = Tensor(np.array([[0.5, -1.0, 2.0]]))
-    loss = token_contrastive_loss(x, y, cfg)
+    loss = token_contrastive_loss(x, y, 0.1)
     assert float(loss.data) == 0.0
 
 
 def test_sample_loss_single_image_is_exactly_zero():
-    cfg = ContrastConfig()
     e = Tensor(np.array([[1.0, 2.0, 3.0]]))
     ea = Tensor(np.array([[0.5, -1.0, 2.0]]))
-    loss = sample_contrastive_loss(e, ea, cfg)
+    loss = sample_contrastive_loss(e, ea, 0.1)
     assert float(loss.data) == 0.0
 
 
@@ -131,17 +117,15 @@ def test_two_orthogonal_tokens_closed_form(f64):
     # Two orthogonal unit rows with identical views: each row's positive
     # similarity is 1 and its sole negative is 0, so the per-row loss is
     # log(1 + exp(-1/tau)) at every temperature.
-    cfg = ContrastConfig(temperature=0.1)
     x = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss = token_contrastive_loss(x, x, cfg)
+    loss = token_contrastive_loss(x, x, 0.1)
     expected = math.log(1.0 + math.exp(-1.0 / 0.1))
     assert abs(float(loss.data) - expected) < 1e-9
 
 
 def test_two_orthogonal_samples_closed_form(f64):
-    cfg = ContrastConfig(temperature=0.1)
     e = Tensor(np.array([[2.0, 0.0], [0.0, 3.0]]))  # scale-free via cosine
-    loss = sample_contrastive_loss(e, e, cfg)
+    loss = sample_contrastive_loss(e, e, 0.1)
     expected = math.log(1.0 + math.exp(-1.0 / 0.1))
     assert abs(float(loss.data) - expected) < 1e-9
 
@@ -150,18 +134,17 @@ def test_losses_invariant_to_positive_row_scaling(f64):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 8))
     y = rng.normal(size=(6, 8))
-    cfg = ContrastConfig()
-    base = float(token_contrastive_loss(Tensor(x), Tensor(y), cfg).data)
+    base = float(token_contrastive_loss(Tensor(x), Tensor(y), 0.1).data)
     scales_x = rng.uniform(0.1, 10.0, size=(6, 1))
     scales_y = rng.uniform(0.1, 10.0, size=(6, 1))
     scaled = float(
-        token_contrastive_loss(Tensor(x * scales_x), Tensor(y * scales_y), cfg).data
+        token_contrastive_loss(Tensor(x * scales_x), Tensor(y * scales_y), 0.1).data
     )
     assert abs(base - scaled) < 1e-6
 
-    b = float(sample_contrastive_loss(Tensor(x), Tensor(y), cfg).data)
+    b = float(sample_contrastive_loss(Tensor(x), Tensor(y), 0.1).data)
     s = float(
-        sample_contrastive_loss(Tensor(x * scales_x), Tensor(y * scales_y), cfg).data
+        sample_contrastive_loss(Tensor(x * scales_x), Tensor(y * scales_y), 0.1).data
     )
     assert abs(b - s) < 1e-6
 
@@ -171,40 +154,37 @@ def test_losses_invariant_to_simultaneous_permutation(f64):
     x = rng.normal(size=(7, 5))
     y = rng.normal(size=(7, 5))
     perm = rng.permutation(7)
-    cfg = ContrastConfig()
-    a = float(token_contrastive_loss(Tensor(x), Tensor(y), cfg).data)
-    b = float(token_contrastive_loss(Tensor(x[perm]), Tensor(y[perm]), cfg).data)
+    a = float(token_contrastive_loss(Tensor(x), Tensor(y), 0.1).data)
+    b = float(token_contrastive_loss(Tensor(x[perm]), Tensor(y[perm]), 0.1).data)
     assert abs(a - b) < 1e-9
 
 
 def test_zero_norm_row_rejected():
-    cfg = ContrastConfig()
     x = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
     y = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DegenerateInputError):
-        token_contrastive_loss(x, y, cfg)
+        token_contrastive_loss(x, y, 0.1)
 
 
 def test_pair_limit_subsampling_rules(f64):
     rng_data = np.random.default_rng(4)
     x = Tensor(rng_data.normal(size=(5, 6)))
     y = Tensor(rng_data.normal(size=(5, 6)))
-    cfg = ContrastConfig()
-    full = float(token_contrastive_loss(x, y, cfg).data)
+    full = float(token_contrastive_loss(x, y, 0.1).data)
     # A mask keeping all n-1 negatives is identical to no mask.
     every = negative_mask(5, 4, np.random.default_rng(0), np.float64)
     assert np.all(every == 0.0)
-    capped = float(token_contrastive_loss(x, y, cfg, negatives=every).data)
+    capped = float(token_contrastive_loss(x, y, 0.1, negatives=every).data)
     assert abs(full - capped) < 1e-12
     # A binding mask is deterministic given the same rng seed.
     a = float(
         token_contrastive_loss(
-            x, y, cfg, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
+            x, y, 0.1, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
         ).data
     )
     b = float(
         token_contrastive_loss(
-            x, y, cfg, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
+            x, y, 0.1, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
         ).data
     )
     assert a == b
@@ -214,18 +194,16 @@ def test_sample_loss_checks_batch_shapes():
     rng_data = np.random.default_rng(5)
     e = rng_data.normal(size=(3, 4))
     ea = rng_data.normal(size=(3, 4))
-    cfg = ContrastConfig()
     with pytest.raises(ContractError):
-        sample_contrastive_loss(Tensor(e), Tensor(ea[:2]), cfg)
+        sample_contrastive_loss(Tensor(e), Tensor(ea[:2]), 0.1)
     with pytest.raises(ContractError):
-        sample_contrastive_loss(Tensor(e[None]), Tensor(ea[None]), cfg)
+        sample_contrastive_loss(Tensor(e[None]), Tensor(ea[None]), 0.1)
 
 
 def test_token_loss_view_count_mismatch():
-    cfg = ContrastConfig()
     with pytest.raises(ShapeError):
         token_contrastive_loss(
-            Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), cfg
+            Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), 0.1
         )
 
 
@@ -233,13 +211,12 @@ def test_token_loss_of_batch_is_mean_of_per_image_losses(f64):
     rng_data = np.random.default_rng(12)
     x = rng_data.normal(size=(3, 5, 6))
     y = rng_data.normal(size=(3, 5, 6))
-    cfg = ContrastConfig()
     # With binding masks, one rng draws the images' masks in order.
     rng = np.random.default_rng(4)
     drawn = np.stack([negative_mask(5, 2, rng, np.float64) for _ in range(3)])
     for masks in (None, drawn):
-        batched = float(token_contrastive_loss(Tensor(x), Tensor(y), cfg, masks).data)
-        per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), cfg,
+        batched = float(token_contrastive_loss(Tensor(x), Tensor(y), 0.1, masks).data)
+        per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), 0.1,
                                                   None if masks is None else masks[b]).data)
                      for b in range(3)]
         assert batched == pytest.approx(np.mean(per_image), rel=1e-12, abs=0.0)

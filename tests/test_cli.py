@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from mca import cli, errors
 from mca.checkpoint import load_checkpoint
 from mca.cli import CONFIG_NAME, LOG_NAME, main
 from mca.config import TrainConfig
@@ -196,6 +197,34 @@ def test_runtime_errors_exit_1_with_diagnostic(tmp_path):
     res2 = _run("train", "--set", "variant=bogus")
     assert res2.returncode == 1
     assert "error:" in res2.stderr
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and c.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_1_with_one_line(tmp_path, monkeypatch, capsys, cls):
+    old_base = {errors.MCAError: Exception, errors.TrainingAbortError: RuntimeError}
+    assert issubclass(cls, errors.MCAError)
+    assert issubclass(cls, old_base.get(cls, ValueError))
+
+    def failing_split(*_args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "generate_split", failing_split)
+    assert main(["gen-data", "--out", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_cli_import_leaves_trainer_and_gradcheck_unloaded():
+    # `mca gen-data` and the benchmark's set-up time pay for this import, so
+    # the parser must not pull in the training stack.
+    code = ("import sys, mca.cli; "
+            "print([m for m in ('mca.trainer', 'mca.gradcheck') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_2():

@@ -69,9 +69,13 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         TrainConfig(temperature=0.0)
     with pytest.raises(ConfigError):
+        TrainConfig(temperature=-1.0)
+    with pytest.raises(ConfigError):
         TrainConfig(strategy="CJ+Blur")
     with pytest.raises(ConfigError):
         TrainConfig(image_size=50, patch_size=16)
+    with pytest.raises(ConfigError):
+        TrainConfig(image_size=30)  # geometry is checked by EncoderConfig
 
 
 def test_text_round_trip():

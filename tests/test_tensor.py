@@ -5,6 +5,7 @@ import pytest
 
 from mca import tensor as T
 from mca.errors import ContractError, DegenerateInputError, ShapeError
+from mca.gradcheck import finite_diff_check
 
 
 def _total(t):
@@ -234,7 +235,7 @@ def test_finite_diff_random_composites(f64, seed):
         h = T.gelu(T.matmul(v, w))
         return T.mean_all(T.softmax_rows(h) * h)
 
-    assert T.finite_diff_check(f, x) < 1e-6
+    assert finite_diff_check(f, x) < 1e-6
 
 
 def test_finite_diff_resolves_steep_objective(f64):
@@ -243,13 +244,13 @@ def test_finite_diff_resolves_steep_objective(f64):
     # five-point stencil's O(h^4) truncation stays far below 1e-6.
     k = 2000.0
     x = T.Tensor(np.linspace(-2.0, 2.0, 9) / k, requires_grad=True)
-    assert T.finite_diff_check(lambda v: _total(T.gelu(v * k)), x) < 1e-6
+    assert finite_diff_check(lambda v: _total(T.gelu(v * k)), x) < 1e-6
 
 
 def test_finite_diff_requires_grad_flag(f64):
     x = T.Tensor(np.ones(3))
     with pytest.raises(ContractError):
-        T.finite_diff_check(lambda v: _total(v), x)
+        finite_diff_check(lambda v: _total(v), x)
 
 
 def test_batched_matmul_matches_loop(f64):

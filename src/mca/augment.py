@@ -1,16 +1,17 @@
 """Photometric/geometric augmentations producing positive views.
 
 One augmented view applies exactly one operation kind, drawn uniformly from
-the strategy set; op parameters are drawn from fixed documented ranges.
-Masks are never augmented: views feed only the sample-level contrastive
-branch.  All functions are pure given an explicit numpy Generator, return the
-input shape, and clamp output to [0, 1].
+the strategy set.  ``sample_view`` is the one place that draws: the kind,
+then the op's parameters from the fixed ranges JITTER_RANGE and
+SHIFT_FRACTION.  The ops themselves are pure functions of their required
+parameters.  Masks are never augmented: views feed only the sample-level
+contrastive branch.  Every op returns the input shape, clamped to [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -56,28 +57,13 @@ def _luma(img: np.ndarray) -> np.ndarray:
     return np.tensordot(_LUMA.astype(img.dtype), img, axes=1)
 
 
-def _draw_factor(rng: np.random.Generator) -> float:
-    return float(rng.uniform(*JITTER_RANGE))
-
-
-def color_jitter(
-    img: np.ndarray,
-    brightness: Optional[float] = None,
-    contrast: Optional[float] = None,
-    saturation: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
+def color_jitter(img: np.ndarray, brightness: float, contrast: float,
+                 saturation: float) -> np.ndarray:
     """Sequential brightness scale, contrast blend toward the per-image mean,
     saturation blend toward per-pixel gray; clamped to [0, 1] after each step.
-
-    Factors not given are drawn uniformly from JITTER_RANGE using ``rng``.
     """
     img = _check_image(img)
-    if rng is None and (brightness is None or contrast is None or saturation is None):
-        raise ConfigError("color_jitter needs an rng when factors are not fixed")
-    b = _draw_factor(rng) if brightness is None else float(brightness)
-    c = _draw_factor(rng) if contrast is None else float(contrast)
-    s = _draw_factor(rng) if saturation is None else float(saturation)
+    b, c, s = float(brightness), float(contrast), float(saturation)
     for name, f in (("brightness", b), ("contrast", c), ("saturation", s)):
         if f < 0:
             raise ConfigError(f"{name} factor must be nonnegative, got {f}")
@@ -96,32 +82,10 @@ def grayscale(img: np.ndarray) -> np.ndarray:
     return np.clip(np.broadcast_to(gray, img.shape), 0.0, 1.0).astype(img.dtype)
 
 
-def random_shift(
-    img: np.ndarray,
-    dx: Optional[int] = None,
-    dy: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    extent: Optional[int] = None,
-) -> np.ndarray:
-    """Integer translation by (dx right, dy down) with zero padding.
-
-    Offsets not given are drawn uniformly from [-extent, extent] using
-    ``rng``; the default extent is SHIFT_FRACTION of the image side.
-    """
+def random_shift(img: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """Integer translation by (dx right, dy down) with zero padding."""
     img = _check_image(img)
     _, h, w = img.shape
-    if extent is None:
-        extent = int(round(SHIFT_FRACTION * w))
-    if extent >= min(h, w):
-        raise ConfigError(f"shift extent {extent} must be smaller than image side {min(h, w)}")
-    if rng is None and (dx is None or dy is None):
-        raise ConfigError("random_shift needs an rng when offsets are not fixed")
-    if dx is None:
-        dx = int(rng.integers(-extent, extent + 1))
-    if dy is None:
-        dy = int(rng.integers(-extent, extent + 1))
-    if abs(dx) > extent or abs(dy) > extent:
-        raise ConfigError(f"shift ({dx}, {dy}) exceeds extent {extent}")
     out = np.zeros_like(img)
     src_y = slice(max(0, -dy), h - max(0, dy))
     dst_y = slice(max(0, dy), h - max(0, -dy))
@@ -133,11 +97,19 @@ def random_shift(
 
 def sample_view(img: np.ndarray, strategy: AugmentStrategy,
                 rng: np.random.Generator) -> np.ndarray:
-    """One op kind drawn uniformly from the strategy, applied once."""
+    """One op kind drawn uniformly from the strategy, applied once.
+
+    Draws, in order: the kind; then for CJ the brightness, contrast and
+    saturation factors from JITTER_RANGE, or for RS the offsets dx, dy from
+    [-e, e] with e = round(SHIFT_FRACTION * width).
+    """
     img = _check_image(img)
     kind = strategy.ops[int(rng.integers(len(strategy.ops)))]
     if kind == "CJ":
-        return color_jitter(img, rng=rng)
+        b, c, s = (float(rng.uniform(*JITTER_RANGE)) for _ in range(3))
+        return color_jitter(img, b, c, s)
     if kind == "Gray":
         return grayscale(img)
-    return random_shift(img, rng=rng)
+    e = int(round(SHIFT_FRACTION * img.shape[2]))
+    dx, dy = (int(rng.integers(-e, e + 1)) for _ in range(2))
+    return random_shift(img, dx, dy)

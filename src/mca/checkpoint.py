@@ -90,6 +90,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        start = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataParseError(
+                f"{self.path}: invalid UTF-8 at byte offset {start + exc.start}"
+            ) from exc
+
 
 def load_checkpoint(path: str) -> Tuple["OrderedDict[str, np.ndarray]", str, int]:
     with open(path, "rb") as f:
@@ -103,7 +112,7 @@ def load_checkpoint(path: str) -> Tuple["OrderedDict[str, np.ndarray]", str, int
     tensors: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len)
         (rank,) = r.unpack("<B")
         dims = r.unpack(f"<{rank}Q") if rank else ()
         n_elems = 1
@@ -115,7 +124,7 @@ def load_checkpoint(path: str) -> Tuple["OrderedDict[str, np.ndarray]", str, int
             raise DataParseError(f"{path}: duplicate tensor name {name!r}")
         tensors[name] = arr
     (cfg_len,) = r.unpack("<I")
-    config_text = r.take(cfg_len).decode("utf-8")
+    config_text = r.text(cfg_len)
     (step,) = r.unpack("<Q")
     if r.pos != len(buf):
         raise DataParseError(

@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import _write_atomic
 from .config import TrainConfig, load_config, parse_override
 from .errors import MCAError
-from .metrics import report_to_csv
+from .metrics import THRESHOLD, report_to_csv
 from .netpbm import save_pgm
 from .synthdata import KINDS, SceneSpec, generate_split, load_split, write_dataset
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "test"))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=THRESHOLD)
     p.set_defaults(fn=_cmd_dump_masks)
 
     return parser

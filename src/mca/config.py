@@ -56,9 +56,9 @@ class TrainConfig(EncoderConfig):
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.embed_dim % self.bottleneck != 0:
+        if self.bottleneck < 1 or self.embed_dim % self.bottleneck != 0:
             raise ConfigError(
-                f"bottleneck {self.bottleneck} must divide embed_dim {self.embed_dim}"
+                f"bottleneck {self.bottleneck} must be >= 1 and divide embed_dim {self.embed_dim}"
             )
         if self.token_pair_limit < 0:
             raise ConfigError("token_pair_limit must be >= 0")
@@ -113,7 +113,7 @@ def _coerce(name: str, raw: str, target_type: type):
         raise ConfigError(f"cannot parse config key {name!r} from {raw!r}") from exc
 
 
-def config_from_text(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
+def config_from_text(text: str) -> TrainConfig:
     """Parse 'key = value' lines; '#' starts a comment; unknown keys error."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -126,16 +126,18 @@ def config_from_text(text: str, base: Optional[TrainConfig] = None) -> TrainConf
         if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
         updates[key] = _coerce(key, raw, _TYPES[key])
-    base = base if base is not None else TrainConfig()
-    return replace(base, **updates)
+    return TrainConfig(**updates)
 
 
 def load_config(path: Optional[str], overrides: Optional[dict] = None) -> TrainConfig:
     """File (optional) -> overrides -> MCA_SEED environment variable."""
     cfg = TrainConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = config_from_text(f.read(), base=cfg)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                cfg = config_from_text(f.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {path}") from exc
     if overrides:
         bad = set(overrides) - _TYPES.keys()
         if bad:

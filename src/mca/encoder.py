@@ -12,7 +12,7 @@ same layer input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +50,9 @@ class EncoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        for f in fields(EncoderConfig):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -58,10 +61,6 @@ class EncoderConfig:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
-        if self.num_layers < 1:
-            raise ConfigError("num_layers must be >= 1")
-        if self.mlp_ratio < 1:
-            raise ConfigError("mlp_ratio must be >= 1")
 
     @property
     def grid(self) -> int:
@@ -116,10 +115,8 @@ class EncoderState:
     adaptors: List[LayerAdaptors] = field(default_factory=list)
 
 
-def _frozen(rng: np.random.Generator, shape, std: float = None) -> Tensor:
-    if std is None:
-        std = INIT_STD  # read at call time so the module constant is the knob
-    return Tensor(rng.normal(0.0, std, shape), requires_grad=False)
+def _frozen(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad=False)
 
 
 def init_layer(cfg: EncoderConfig, rng: np.random.Generator) -> LayerWeights:
@@ -180,10 +177,9 @@ def extract_patches(image: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     return np.ascontiguousarray(blocks.reshape(*lead, cfg.num_tokens, cfg.patch_dim))
 
 
-def tokenize(image, cfg: EncoderConfig, state: EncoderState) -> Tensor:
+def tokenize(image: np.ndarray, cfg: EncoderConfig, state: EncoderState) -> Tensor:
     """Patch tokens plus position embedding: [..., C, H, W] -> [..., K, d]."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
-    patches = Tensor(extract_patches(arr, cfg), requires_grad=False)
+    patches = Tensor(extract_patches(image, cfg), requires_grad=False)
     tokens = matmul(patches, state.patch_projection) + state.patch_bias
     return tokens + state.position_embedding
 

@@ -67,11 +67,12 @@ def float64_session():
         set_default_dtype(prev)
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between analytic and central finite-difference grads.
 
     ``f`` must be a pure scalar-valued function of ``x``.  Each coordinate's
-    numeric derivative is the fourth-order five-point central stencil
+    numeric derivative, with h = 1e-5, is the fourth-order five-point
+    central stencil
 
         c = (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / (12 h),
 
@@ -82,6 +83,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     """
     if not x.requires_grad:
         raise ContractError("finite_diff_check requires x.requires_grad")
+    h = 1e-5
     x.grad = None
     with Graph() as g:
         loss = f(x)
@@ -111,7 +113,6 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
         if err > max_err:
             max_err = err
     return max_err
-
 
 
 def _t(rng: np.random.Generator, shape, scale: float = 1.0) -> Tensor:
@@ -351,6 +352,8 @@ def run_gradcheck(
 ) -> Tuple[bool, Dict[str, float]]:
     """Run every suite on every seed; returns (all_passed, worst_error_by_op)."""
     seeds = list(seeds)
+    if not seeds:
+        raise ContractError("gradcheck needs at least one seed")
     worst: Dict[str, float] = OrderedDict((name, 0.0) for name in SUITES)
     with float64_session():
         for idx, seed in enumerate(seeds):

@@ -17,7 +17,7 @@ Conventions pinned here (and mirrored by the brute-force oracles in tests):
 * E-measure: mean over all W*H pixels of (xi + 1)^2 / 4 with
   xi = 2 phi_G phi_S / (phi_G^2 + phi_S^2 + eps), phi_X = X - mean(X);
   all-zero truth uses 1 - S as the enhanced matrix, all-one truth uses S.
-* BER: binarize S at the threshold (>= threshold is positive), then
+* BER: binarize S at THRESHOLD (>= THRESHOLD is positive), then
   100 * (1 - (TP/(TP+FN) + TN/(TN+FP)) / 2); errors on single-class truth.
 * Dice/IoU: same binarization; both-empty defined as (1, 1).
 """
@@ -27,13 +27,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
 
 EPS = 1e-12
+THRESHOLD = 0.5   # one binarization for BER, Dice, IoU and dumped masks
 METRIC_NAMES = ("mae", "s_measure", "e_measure", "ber", "dice", "iou")
 CSV_HEADER = ("image",) + METRIC_NAMES
 
@@ -151,8 +152,8 @@ def e_measure(pair: EvalPair) -> float:
     return float(enhanced.mean())
 
 
-def _confusion(pair: EvalPair, threshold: float):
-    pred = pair.prediction >= threshold
+def _confusion(pair: EvalPair):
+    pred = pair.prediction >= THRESHOLD
     gt = pair.ground_truth == 1
     tp = int(np.count_nonzero(pred & gt))
     tn = int(np.count_nonzero(~pred & ~gt))
@@ -161,9 +162,9 @@ def _confusion(pair: EvalPair, threshold: float):
     return tp, tn, fp, fn
 
 
-def ber(pair: EvalPair, threshold: float = 0.5) -> float:
+def ber(pair: EvalPair) -> float:
     """Balanced error rate in percent; truth must contain both classes."""
-    tp, tn, fp, fn = _confusion(pair, threshold)
+    tp, tn, fp, fn = _confusion(pair)
     if tp + fn == 0 or tn + fp == 0:
         raise UndefinedMetricError("BER undefined for single-class ground truth")
     recall_pos = tp / (tp + fn)
@@ -171,18 +172,13 @@ def ber(pair: EvalPair, threshold: float = 0.5) -> float:
     return float(100.0 * (1.0 - 0.5 * (recall_pos + recall_neg)))
 
 
-def dice_iou(pair: EvalPair, threshold: float = 0.5) -> tuple:
+def dice_iou(pair: EvalPair) -> tuple:
     """(Dice, IoU) of the thresholded prediction; both-empty scores (1, 1)."""
-    pred = pair.prediction >= threshold
-    gt = pair.ground_truth == 1
-    inter = int(np.count_nonzero(pred & gt))
-    ps, gs = int(np.count_nonzero(pred)), int(np.count_nonzero(gt))
-    if ps == 0 and gs == 0:
+    tp, _tn, fp, fn = _confusion(pair)
+    union = tp + fp + fn
+    if union == 0:
         return 1.0, 1.0
-    dice = 2.0 * inter / (ps + gs)
-    union = ps + gs - inter
-    iou = inter / union if union > 0 else 1.0
-    return float(dice), float(iou)
+    return float(2.0 * tp / (union + tp)), float(tp / union)
 
 
 @dataclass
@@ -193,15 +189,10 @@ class MetricReport:
     means: Dict[str, float]
 
 
-def evaluate_dataset(
-    pairs: Sequence[EvalPair],
-    names: Optional[Sequence[str]] = None,
-) -> MetricReport:
+def evaluate_dataset(pairs: Sequence[EvalPair], names: Sequence[str]) -> MetricReport:
     """Score every pair and aggregate arithmetic means, in input order."""
     if len(pairs) == 0:
         raise ContractError("evaluate_dataset needs at least one pair")
-    if names is None:
-        names = [f"{i:04d}" for i in range(len(pairs))]
     if len(names) != len(pairs):
         raise ContractError("names and pairs must have equal length")
     rows: List[Dict[str, object]] = []

@@ -1,14 +1,17 @@
 """Synthetic camouflage-style and shadow-style scene generation.
 
 Every sample is a pure function of (SceneSpec, integer seed).  Backgrounds
-are octave-summed value noise; foregrounds are wobbly blob unions.  The
-contrast gap controls how separable foreground statistics are from the
-background: at gap 0 the foreground texture is moment-matched to the
-background (statistically camouflaged), at larger gaps the foreground mean
-is shifted away from the background mean by the gap itself.  The shift
-direction is drawn per image (camouflage kind), so region detection cannot
-be reduced to a single global intensity threshold; the shadow kind always
-dims (multiplicative, proportional to the gap).
+are value noise summed over OCTAVES octaves from BASE_FREQUENCY (each octave
+doubles the frequency and scales the amplitude by NOISE_AMPLITUDE);
+foregrounds are unions of BLOB_COUNT_RANGE wobbly blobs whose radii are
+drawn from RADIUS_RANGE.  The contrast gap controls how separable
+foreground statistics are from the background: at gap 0 the foreground
+texture is moment-matched to the background (statistically camouflaged),
+at larger gaps the foreground mean is shifted away from the background mean
+by the gap itself.  The shift direction is drawn per image (camouflage
+kind), so region detection cannot be reduced to a single global intensity
+threshold; the shadow kind always dims (multiplicative, proportional to the
+gap).
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ OCCUPANCY_RANGE = (0.05, 0.60)   # valid foreground fraction per mask
 TEXTURE_RANGE = (0.15, 0.85)     # background texture is stretched into this
 SHADOW_STRENGTH = 0.92           # max multiplicative dimming at gap 1
 TINT_RANGE = (0.92, 1.08)        # per-channel color tint draw range
-FREQUENCY_JITTER = (-1, 1)       # per-image offset added to base_frequency
+BASE_FREQUENCY = 8               # value-noise lattice cells per side, first octave
+OCTAVES = 3
+NOISE_AMPLITUDE = 0.5            # per-octave amplitude decay
+FREQUENCY_JITTER = (-1, 1)       # per-image offset added to BASE_FREQUENCY
+BLOB_COUNT_RANGE = (1, 3)        # blobs per mask, inclusive
+RADIUS_RANGE = (0.16, 0.30)      # blob radius as a fraction of the side
 MAX_ATTEMPTS = 10                # mask regeneration budget per sample
 
 KINDS = ("camouflage", "shadow")
@@ -36,11 +44,6 @@ KINDS = ("camouflage", "shadow")
 class SceneSpec:
     kind: str = "camouflage"
     image_size: int = 64
-    base_frequency: int = 8
-    octaves: int = 3
-    noise_amplitude: float = 0.5   # per-octave amplitude decay
-    blob_count_range: Tuple[int, int] = (1, 3)
-    radius_range: Tuple[float, float] = (0.16, 0.30)  # fractions of the side
     contrast_gap: float = 0.3
 
     def __post_init__(self):
@@ -50,13 +53,6 @@ class SceneSpec:
             raise ConfigError(f"contrast gap must lie in [0, 1], got {self.contrast_gap}")
         if self.image_size < 8:
             raise ConfigError("image_size must be at least 8")
-        if self.base_frequency < 1 or self.octaves < 1:
-            raise ConfigError("base_frequency and octaves must be >= 1")
-        if not 1 <= self.blob_count_range[0] <= self.blob_count_range[1]:
-            raise ConfigError(f"bad blob count range {self.blob_count_range}")
-        lo, hi = self.radius_range
-        if not 0.0 < lo <= hi < 0.5:
-            raise ConfigError(f"bad radius range {self.radius_range}")
 
 
 @dataclass
@@ -64,7 +60,6 @@ class Sample:
     image: np.ndarray   # [3, H, W] float32 in [0, 1]
     mask: np.ndarray    # [H, W] uint8 {0, 1}
     id: str
-    seed: int
 
 
 def _bilinear_lattice(lattice: np.ndarray, size: int) -> np.ndarray:
@@ -87,11 +82,11 @@ def _value_noise(
     """Octave-summed value noise stretched into TEXTURE_RANGE."""
     acc = np.zeros((spec.image_size, spec.image_size))
     amp, total, freq = 1.0, 0.0, base_frequency
-    for _ in range(spec.octaves):
+    for _ in range(OCTAVES):
         lattice = rng.random((freq + 1, freq + 1))
         acc += amp * _bilinear_lattice(lattice, spec.image_size)
         total += amp
-        amp *= spec.noise_amplitude
+        amp *= NOISE_AMPLITUDE
         freq *= 2
     acc /= total
     lo, hi = TEXTURE_RANGE
@@ -103,11 +98,11 @@ def _blob_mask(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
     """Union of 1..n wobbly-radius blobs as a boolean mask."""
     size = spec.image_size
     yy, xx = np.mgrid[0:size, 0:size].astype(float)
-    n_blobs = int(rng.integers(spec.blob_count_range[0], spec.blob_count_range[1] + 1))
+    n_blobs = int(rng.integers(BLOB_COUNT_RANGE[0], BLOB_COUNT_RANGE[1] + 1))
     mask = np.zeros((size, size), dtype=bool)
     for _ in range(n_blobs):
         cy, cx = rng.uniform(0.18, 0.82, 2) * size
-        radius = rng.uniform(*spec.radius_range) * size
+        radius = rng.uniform(*RADIUS_RANGE) * size
         amps = rng.uniform(0.2, 1.0, 3)
         phases = rng.uniform(0.0, 2.0 * np.pi, 3)
         theta = np.arctan2(yy - cy, xx - cx)
@@ -125,7 +120,7 @@ def _render(rng: np.random.Generator, mask: np.ndarray, spec: SceneSpec) -> np.n
     # Per-image texture scale: foreground and background share it, so the
     # re-textured foreground stays in the same distribution family.
     jitter = int(rng.integers(FREQUENCY_JITTER[0], FREQUENCY_JITTER[1] + 1))
-    freq = max(1, spec.base_frequency + jitter)
+    freq = max(1, BASE_FREQUENCY + jitter)
     bg = _value_noise(rng, spec, freq)
     if spec.kind == "camouflage":
         fg0 = _value_noise(rng, spec, freq)
@@ -160,12 +155,8 @@ def generate_sample(spec: SceneSpec, seed: int, sample_id: str = "") -> Sample:
         occupancy = mask.mean()
         if lo <= occupancy <= hi:
             image = _render(rng, mask, spec)
-            return Sample(
-                image=image,
-                mask=mask.astype(np.uint8),
-                id=sample_id or f"sample_{seed}",
-                seed=seed,
-            )
+            return Sample(image=image, mask=mask.astype(np.uint8),
+                          id=sample_id or f"sample_{seed}")
     raise ContractError(
         f"mask occupancy outside [{lo}, {hi}] after {MAX_ATTEMPTS} attempts (seed {seed})"
     )
@@ -222,13 +213,16 @@ def load_split(root: str, split: str) -> List[Sample]:
     manifest = os.path.join(base, "manifest.txt")
     if not os.path.exists(manifest):
         raise DataParseError(f"missing manifest: {manifest}")
-    with open(manifest, "r", encoding="ascii") as f:
-        ids = [line.strip() for line in f if line.strip()]
+    try:
+        with open(manifest, "r", encoding="ascii") as f:
+            ids = [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataParseError(f"manifest is not ASCII text: {manifest}") from exc
     if not ids:
         raise DataParseError(f"empty manifest: {manifest}")
     samples = []
     for sid in ids:
         image = load_ppm(os.path.join(base, "images", f"{sid}.ppm"))
         mask = load_mask(os.path.join(base, "masks", f"{sid}.pgm"))
-        samples.append(Sample(image=image, mask=mask, id=sid, seed=-1))
+        samples.append(Sample(image=image, mask=mask, id=sid))
     return samples

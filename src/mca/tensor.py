@@ -422,8 +422,8 @@ def logsumexp_rows(a) -> Tensor:
     return _make(lse, (a,), bw)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then affine scale/shift."""
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize over the last axis (variance eps 1e-5), then affine scale/shift."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -432,7 +432,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + eps)
+    rstd = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * rstd
     out = xhat * gamma.data + beta.data
     gd = gamma.data

@@ -1,4 +1,4 @@
-"""View augmentations: fixed-factor identities, bounds, strategy parsing."""
+"""View augmentations: fixed-parameter identities, drawn bounds, strategy parsing."""
 
 import numpy as np
 import pytest
@@ -47,14 +47,12 @@ def test_color_jitter_zero_saturation_equals_grayscale(rng):
 
 def test_color_jitter_output_stays_in_range(rng):
     for _ in range(20):
-        out = color_jitter(_img(rng), rng=rng)
+        out = sample_view(_img(rng), parse_strategy("CJ"), rng)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_color_jitter_validation(rng):
     img = _img(rng)
-    with pytest.raises(ConfigError):
-        color_jitter(img)  # unset factors with no rng
     with pytest.raises(ConfigError):
         color_jitter(img, brightness=-0.5, contrast=1.0, saturation=1.0)
     with pytest.raises(ShapeError):
@@ -63,8 +61,8 @@ def test_color_jitter_validation(rng):
 
 def test_color_jitter_draws_are_bounded_and_deterministic(rng):
     img = _img(rng)
-    a = color_jitter(img, rng=np.random.default_rng(5))
-    b = color_jitter(img, rng=np.random.default_rng(5))
+    a = sample_view(img, parse_strategy("CJ"), np.random.default_rng(5))
+    b = sample_view(img, parse_strategy("CJ"), np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
     lo, hi = JITTER_RANGE
     assert (lo, hi) == (0.6, 1.4)
@@ -87,7 +85,7 @@ def test_grayscale_fixed_point():
 
 def test_random_shift_fixed_offsets_match_manual_padding(rng):
     img = _img(rng)
-    out = random_shift(img, dx=2, dy=-1, extent=3)
+    out = random_shift(img, dx=2, dy=-1)
     manual = np.zeros_like(img)
     manual[:, : 8 - 1, 2:] = img[:, 1:, : 8 - 2]
     np.testing.assert_array_equal(out, manual)
@@ -103,7 +101,7 @@ def test_random_shift_default_extent_bound():
     img = np.ones((3, 64, 64))
     rng = np.random.default_rng(0)
     for _ in range(30):
-        out = random_shift(img, rng=rng)
+        out = sample_view(img, parse_strategy("RS"), rng)
         # Border of zeros no wider than the extent on any side.
         cols = out[0].sum(axis=0)
         rows = out[0].sum(axis=1)
@@ -112,14 +110,7 @@ def test_random_shift_default_extent_bound():
     assert int(round(SHIFT_FRACTION * 64)) == 6
 
 
-def test_random_shift_validation(rng):
-    img = _img(rng)
-    with pytest.raises(ConfigError):
-        random_shift(img)  # missing rng
-    with pytest.raises(ConfigError):
-        random_shift(img, dx=5, dy=0, extent=3)  # exceeds extent
-    with pytest.raises(ConfigError):
-        random_shift(img, dx=0, dy=0, extent=8)  # extent >= side
+def test_random_shift_validation():
     with pytest.raises(ShapeError):
         random_shift(np.zeros((2, 8, 8)), dx=0, dy=0)
 
@@ -150,6 +141,26 @@ def test_sample_view_deterministic_and_within_strategy(rng):
     a = sample_view(img, parse_strategy("CJ+RS"), np.random.default_rng(7))
     b = sample_view(img, parse_strategy("CJ+RS"), np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("op", ["CJ", "RS"])
+def test_sample_view_draw_order(rng, op):
+    # Draw order: kind, then b, c, s (CJ) or dx, dy (RS), all from one stream.
+    img = _img(rng, 20, 20)
+    # The first seed whose kind draw over all three ops picks ``op``.
+    seed = next(n for n in range(100) if KINDS[np.random.default_rng(n).integers(3)] == op)
+    draws = np.random.default_rng(seed)
+    assert KINDS[int(draws.integers(3))] == op
+    if op == "CJ":
+        b, c, s = (float(draws.uniform(*JITTER_RANGE)) for _ in range(3))
+        want = color_jitter(img, b, c, s)
+    else:
+        e = int(round(SHIFT_FRACTION * 20))
+        dx, dy = (int(draws.integers(-e, e + 1)) for _ in range(2))
+        want = random_shift(img, dx, dy)
+    got = sample_view(img, parse_strategy("CJ+Gray+RS"), np.random.default_rng(seed))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sample_view_covers_all_ops_over_many_draws(rng):

@@ -138,6 +138,18 @@ def test_unicode_names_and_config(tmp_path):
     assert cfg == "note = café\n"
 
 
+@pytest.mark.parametrize("part", ["name", "config"])
+def test_invalid_utf8_is_a_parse_error_with_offset(tmp_path, part):
+    path = tmp_path / "bad.mcaf"
+    save_checkpoint(str(path), OrderedDict([("w", np.zeros(1, np.float32))]), "seed = 0", 0)
+    buf = bytearray(path.read_bytes())
+    offset = buf.index(b"w" if part == "name" else b"seed")
+    buf[offset] = 0xFF
+    path.write_bytes(bytes(buf))
+    with pytest.raises(DataParseError, match=f"invalid UTF-8 at byte offset {offset}$"):
+        load_checkpoint(str(path))
+
+
 def test_failed_save_keeps_existing_checkpoint(tmp_path, rng, monkeypatch):
     path = str(tmp_path / "keep.mcaf")
     save_checkpoint(path, _tensors(rng), "epochs = 1\n", 4)

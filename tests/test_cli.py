@@ -1,6 +1,7 @@
 """End-to-end command-line interface checks via subprocess."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -215,6 +216,50 @@ def test_every_error_class_exits_1_with_one_line(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(cli, "generate_split", failing_split)
     assert main(["gen-data", "--out", str(tmp_path / "data")]) == 1
     assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize("setting", ["bottleneck=0", "num_heads=0", "patch_size=0",
+                                     "patch_size=-16", "num_heads=-4", "embed_dim=0"])
+def test_nonpositive_geometry_exits_1_with_one_line(cli_workspace, tmp_path, capsys, setting):
+    assert main(["train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+                 "--set", f"out_dir={tmp_path}", "--set", "epochs=1", "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_gradcheck_without_seeds_exits_1(capsys, seeds):
+    assert main(["gradcheck", "--seeds", seeds]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["checkpoint", "manifest", "config"])
+def test_undecodable_bytes_exit_1_naming_the_file(cli_workspace, tmp_path, capsys, case):
+    ckpt = os.path.join(cli_workspace["out"], "checkpoint.mcaf")
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace["data"], data)
+    if case == "checkpoint":
+        buf = bytearray(open(ckpt, "rb").read())
+        buf[14] = 0xFF  # first byte of the first tensor name
+        ckpt = bad = str(tmp_path / "bad.mcaf")
+        (tmp_path / "bad.mcaf").write_bytes(bytes(buf))
+        argv = ["eval", "--checkpoint", ckpt, "--data", str(data)]
+    elif case == "manifest":
+        manifest = data / "test" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"test_\xe9\n")
+        bad, argv = str(manifest), ["eval", "--checkpoint", ckpt, "--data", str(data)]
+    else:
+        bad = str(tmp_path / "bad.cfg")
+        (tmp_path / "bad.cfg").write_bytes(b"# caf\xe9\nepochs = 1\n")
+        argv = ["train", "--config", bad]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+    if case == "checkpoint":
+        assert "byte offset 14" in err
 
 
 def test_cli_import_leaves_trainer_and_gradcheck_unloaded():

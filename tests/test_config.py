@@ -51,6 +51,13 @@ def test_variant_gating_table():
         assert cfg.use_sample_loss == samp, variant
 
 
+def test_undecodable_config_file(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"# caf\xe9\nepochs = 1\n")
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        load_config(str(path))
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         TrainConfig(variant="resnet")
@@ -76,6 +83,11 @@ def test_validation_errors():
         TrainConfig(image_size=50, patch_size=16)
     with pytest.raises(ConfigError):
         TrainConfig(image_size=30)  # geometry is checked by EncoderConfig
+    # Zero or negative geometry is refused before any modulo by it.
+    for bad in (dict(bottleneck=0), dict(num_heads=0), dict(patch_size=0),
+                dict(patch_size=-16), dict(num_heads=-4), dict(embed_dim=0)):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
 
 
 def test_text_round_trip():

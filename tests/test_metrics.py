@@ -190,20 +190,20 @@ def test_evalpair_validation():
 def test_evaluate_dataset_aggregation():
     rng = np.random.default_rng(9)
     pair = _random_pair(rng)
-    single = evaluate_dataset([pair])
+    single = evaluate_dataset([pair], ["a"])
     for m in METRIC_NAMES:
         assert single.means[m] == single.rows[0][m]
-    doubled = evaluate_dataset([pair, pair])
+    doubled = evaluate_dataset([pair, pair], ["a", "b"])
     for m in METRIC_NAMES:
         assert abs(doubled.means[m] - single.means[m]) < 1e-12
     g = np.array([[1.0, 0.0], [1.0, 0.0]])
-    report = evaluate_dataset([EvalPair(g, g), EvalPair(1.0 - g, g)])
+    report = evaluate_dataset([EvalPair(g, g), EvalPair(1.0 - g, g)], ["a", "b"])
     assert abs(report.means["dice"] - 0.5) < 1e-12
 
 
 def test_evaluate_dataset_validation():
     with pytest.raises(ContractError):
-        evaluate_dataset([])
+        evaluate_dataset([], [])
     rng = np.random.default_rng(10)
     with pytest.raises(ContractError):
         evaluate_dataset([_random_pair(rng)], names=["a", "b"])

@@ -39,12 +39,6 @@ def test_scene_spec_validation():
         SceneSpec(contrast_gap=1.5)
     with pytest.raises(ConfigError):
         SceneSpec(image_size=4)
-    with pytest.raises(ConfigError):
-        SceneSpec(base_frequency=0)
-    with pytest.raises(ConfigError):
-        SceneSpec(blob_count_range=(0, 2))
-    with pytest.raises(ConfigError):
-        SceneSpec(radius_range=(0.3, 0.6))
 
 
 def test_sample_is_bit_deterministic():
@@ -153,3 +147,12 @@ def test_load_split_missing_or_empty_manifest(tmp_path):
     (base / "manifest.txt").write_text("")
     with pytest.raises(DataParseError):
         load_split(str(tmp_path), "train")
+
+
+def test_load_split_non_ascii_manifest(tmp_path):
+    base = tmp_path / "test"
+    base.mkdir()
+    manifest = base / "manifest.txt"
+    manifest.write_bytes(b"test_0000\ntest_\xe91\n")
+    with pytest.raises(DataParseError, match="manifest"):
+        load_split(str(tmp_path), "test")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import _write_atomic
 from .config import TrainConfig, load_config, parse_override
-from .errors import MCAError
+from .errors import ConfigError, MCAError
 from .metrics import THRESHOLD, report_to_csv
 from .netpbm import save_pgm
 from .synthdata import KINDS, SceneSpec, generate_split, load_split, write_dataset
@@ -97,7 +97,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     from .trainer import run_ablation
 
     cfg = _build_config(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     variants = args.variants.split(",") if args.variants else None
     strategies = args.strategies.split(",") if args.strategies else None
     _rows, csv_text = run_ablation(cfg, variants=variants, seeds=seeds, strategies=strategies)
@@ -112,6 +115,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_dump_masks(args: argparse.Namespace) -> int:
     from .trainer import model_from_checkpoint, predict
 
+    if not 0.0 <= args.threshold <= 1.0:  # also false for NaN
+        raise ConfigError(f"--threshold must lie in [0, 1], got {args.threshold}")
     model, cfg, _step = model_from_checkpoint(args.checkpoint)
     samples = load_split(args.data, args.split)
     os.makedirs(args.out, exist_ok=True)

@@ -234,9 +234,13 @@ def _check_bce(rng) -> List[float]:
     gt = (rng.random((5, 5)) > 0.5).astype(np.float64)
     pred_b = Tensor(rng.uniform(0.05, 0.95, size=(2, 4, 4)), requires_grad=True)
     gt_b = (rng.random((2, 4, 4)) > 0.5).astype(np.float64)
+    # Patch grid: each of the 3 x 3 predictions covers a 2 x 2 block of truth.
+    pred_p = Tensor(rng.uniform(0.05, 0.95, size=(2, 3, 3)), requires_grad=True)
+    gt_p = (rng.random((2, 6, 6)) > 0.5).astype(np.float64)
     return [
         finite_diff_check(lambda v: bce_loss(MaskPair(v, gt)), pred),
         finite_diff_check(lambda v: bce_loss(MaskPair(v, gt_b)), pred_b),
+        finite_diff_check(lambda v: bce_loss(MaskPair(v, gt_p)), pred_p),
     ]
 
 
@@ -247,9 +251,13 @@ def _check_iou(rng) -> List[float]:
     pred_b = Tensor(rng.uniform(0.05, 0.95, size=(3, 4, 4)), requires_grad=True)
     gt_b = (rng.random((3, 4, 4)) > 0.4).astype(np.float64)
     gt_b[2] = 0.0
+    # Patch grid: each of the 3 x 3 predictions covers a 2 x 2 block of truth.
+    pred_p = Tensor(rng.uniform(0.05, 0.95, size=(2, 3, 3)), requires_grad=True)
+    gt_p = (rng.random((2, 6, 6)) > 0.4).astype(np.float64)
     return [
         finite_diff_check(lambda v: iou_loss(MaskPair(v, gt)), pred),
         finite_diff_check(lambda v: iou_loss(MaskPair(v, gt_b)), pred_b),
+        finite_diff_check(lambda v: iou_loss(MaskPair(v, gt_p)), pred_p),
     ]
 
 
@@ -279,11 +287,11 @@ def _check_decode_mask(rng) -> List[float]:
     # keeps the batched maps on its slope.
     dec_b = DecoderWeights(w=_t(rng, (8, 1), 1e-3), b=_t(rng, (1,), 1e-3))
     xb = _t(rng, (2, 4, 8))
-    fb = lambda _v: mean_all(decode_mask(xb, dec_b, 3) * decode_mask(xb, dec_b, 3))
+    fb = lambda _v: mean_all(decode_mask(xb, dec_b) * decode_mask(xb, dec_b))
     return [
-        finite_diff_check(lambda v: mean_all(decode_mask(v, dec, 3)), xn),
-        finite_diff_check(lambda _v: mean_all(decode_mask(xn, dec, 3)), dec.w),
-        finite_diff_check(lambda _v: mean_all(decode_mask(xn, dec, 3)), dec.b),
+        finite_diff_check(lambda v: mean_all(decode_mask(v, dec)), xn),
+        finite_diff_check(lambda _v: mean_all(decode_mask(xn, dec)), dec.w),
+        finite_diff_check(lambda _v: mean_all(decode_mask(xn, dec)), dec.b),
         finite_diff_check(fb, xb),
         finite_diff_check(fb, dec_b.w),
     ]

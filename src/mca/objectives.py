@@ -1,8 +1,14 @@
 """Mask decoder head and the supervised mask losses composing the objective.
 
 The decoder is a deliberately minimal linear head: one logit per final-layer
-token, reshaped to the patch grid, nearest-neighbor upsampled to the image
-size, and sigmoid-squashed.  The training objective is
+token, reshaped to the g x g patch grid and sigmoid-squashed.  The head is
+scored on that grid.  A patch probability m stands for every pixel of its
+f x f block of truth (f = image side / g), so the mask losses, whose terms
+are sums over pixels, need only the count n of foreground pixels per block:
+the pixel BCE is -mean(n log m + (f^2 - n) log(1 - m)) / f^2, and the soft
+IoU sums m * n, f^2 * m and n.  These are the per-pixel losses of the
+nearest-neighbor upsampled map, exactly; only the float summation order
+differs.  The training objective is
 w_bce * BCE + w_iou * soft-IoU + w_clt * CL_t + w_cls * CL_s with all default
 weights 1.
 """
@@ -10,8 +16,8 @@ weights 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +32,6 @@ from .tensor import (
     mean_all,
     mul,
     neg,
-    nearest_upsample,
     reshape,
     sigmoid,
     sub,
@@ -59,75 +64,101 @@ def init_decoder(d: int) -> DecoderWeights:
     )
 
 
+def block_counts(truth: np.ndarray, grid: Tuple[int, int]) -> np.ndarray:
+    """Foreground pixels per block: binary truth [..., H, W] -> int counts [..., gh, gw].
+
+    The blocks are square, f x f with f = H / gh = W / gw; any other shape
+    is a ContractError.
+    """
+    *lead, h, w = truth.shape
+    gh, gw = grid
+    f = h // gh if gh else 0
+    if f < 1 or (h, w) != (gh * f, gw * f):
+        raise ContractError(f"mask shapes disagree: truth {truth.shape} does not tile "
+                            f"the grid {tuple(grid)} in square blocks")
+    # Summing each block's f rows first adds whole image rows, which numpy
+    # vectorizes; one reduction over both block axes took about 2.5x longer.
+    rows = (truth == 1).reshape(*lead, gh, f, w).sum(axis=-2, dtype=np.int64)
+    return rows.reshape(*lead, gh, gw, f).sum(axis=-1)
+
+
 @dataclass
 class MaskPair:
-    """Prediction probabilities in [0, 1] and binary ground truth.
+    """Patch probabilities in [0, 1] and the binary ground truth they cover.
 
-    One map [H, W] or a batch [..., H, W]; a non-finite prediction aborts
-    training.
+    One map or a batch: prediction [..., g, g], truth [..., H, W] with H
+    and W whole multiples f * g of the grid, so each prediction entry
+    covers an f x f block of truth (f = 1 pairs pixel with pixel).  The
+    truth is reduced once to its integer foreground count n per block,
+    kept as the fraction n / f^2 in the prediction's float width (the
+    truth itself at f = 1).  A non-finite prediction aborts training.
     """
 
-    prediction: Tensor       # [..., H, W]
+    prediction: Tensor       # [..., g, g]
     ground_truth: np.ndarray  # [..., H, W], values in {0, 1}
+    fraction: np.ndarray = field(init=False)  # [..., g, g] n / f^2
 
     def __post_init__(self):
         if not isinstance(self.prediction, Tensor):
             self.prediction = Tensor(np.asarray(self.prediction))
         self.ground_truth = np.asarray(self.ground_truth)
-        if self.prediction.shape != self.ground_truth.shape or self.prediction.ndim < 2:
-            raise ContractError(
-                f"mask shapes disagree: {self.prediction.shape} vs {self.ground_truth.shape}"
-            )
-        gt = self.ground_truth
+        pred, gt = self.prediction, self.ground_truth
+        if pred.ndim < 2 or pred.shape[:-2] != gt.shape[:-2]:
+            raise ContractError(f"mask shapes disagree: {pred.shape} vs {gt.shape}")
         if not np.all((gt == 0) | (gt == 1)):
             raise ContractError("ground truth mask must be binary {0, 1}")
-        bad = int(np.count_nonzero(~np.isfinite(self.prediction.data)))
+        counts = block_counts(gt, pred.shape[-2:])
+        self.fraction = (counts / (gt.shape[-1] // pred.shape[-1]) ** 2).astype(pred.data.dtype)
+        bad = int(np.count_nonzero(~np.isfinite(pred.data)))
         if bad:
             raise TrainingAbortError(
                 f"mask prediction has {bad} non-finite values "
-                f"of {self.prediction.data.size}"
+                f"of {pred.data.size}"
             )
 
 
-def decode_mask(xn: Tensor, w: DecoderWeights, patch_size: int) -> Tensor:
-    """[..., K, d] final tokens -> [..., H, W] probability maps (H = W = grid * patch)."""
+def decode_mask(xn: Tensor, w: DecoderWeights) -> Tensor:
+    """[..., K, d] final tokens -> [..., g, g] patch probabilities (K = g * g)."""
     *lead, k, d = xn.shape
     grid = math.isqrt(k)
     if grid * grid != k:
         raise ShapeError(f"token count {k} is not a square grid")
     if w.w.shape != (d, 1):
         raise ShapeError(f"decoder width {w.w.shape} vs token width {d}")
-    logits = reshape((matmul(xn, w.w) + w.b) * LOGIT_GAIN, (*lead, grid, grid))
-    return sigmoid(nearest_upsample(logits, patch_size))
+    return sigmoid(reshape((matmul(xn, w.w) + w.b) * LOGIT_GAIN, (*lead, grid, grid)))
 
 
 def bce_loss(pair: MaskPair) -> Tensor:
-    """Mean binary cross-entropy with the prediction clamped away from {0, 1}.
+    """Mean pixel binary cross-entropy, the prediction clamped away from {0, 1}.
 
-    Over a batch of equal-sized maps this is the mean of the per-map losses.
+    With p = n / f^2 per block this is -mean(p log m + (1 - p) log(1 - m))
+    over the blocks, the mean over every pixel.  Over a batch of
+    equal-sized maps it is the mean of the per-map losses.
     """
     m = clamp(pair.prediction, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    g = pair.ground_truth.astype(m.data.dtype)
-    term = mul(g, log(m)) + mul(1.0 - g, log(sub(1.0, m)))
+    p = pair.fraction
+    term = mul(p, log(m)) + mul(1.0 - p, log(sub(1.0, m)))
     return neg(mean_all(term))
 
 
 def iou_loss(pair: MaskPair) -> Tensor:
-    """Soft IoU loss 1 - sum(m*g) / (sum(m) + sum(g) - sum(m*g)), per map.
+    """Pixel soft IoU loss 1 - sum(m*g) / (sum(m) + sum(g) - sum(m*g)), per map.
 
-    A batch [..., H, W] scores the mean of its per-map losses, not the IoU
+    On the grid the sums are inter = sum(m n), pred_sum = f^2 sum(m) and
+    gt_sum = sum(n); the ratio is taken with all three divided by f^2.  A
+    batch [..., g, g] scores the mean of its per-map losses, not the IoU
     of the pooled pixels.  A map whose truth and prediction are both empty
     (all exactly 0) scores 0 by convention, with a zero gradient: its ratio
     is taken as 0/1 instead of 0/0, and its 1 is dropped.
     """
     pred = pair.prediction
-    lead, pixels = pred.shape[:-2], pred.shape[-2] * pred.shape[-1]
-    g = pair.ground_truth.astype(pred.data.dtype).reshape(*lead, pixels)
-    m = reshape(pred, (*lead, pixels))
-    gt_sum = g.sum(axis=-1)
+    lead, cells = pred.shape[:-2], pred.shape[-2] * pred.shape[-1]
+    p = pair.fraction.reshape(*lead, cells)
+    m = reshape(pred, (*lead, cells))
+    gt_sum = p.sum(axis=-1)
     pred_sum = sum_axis(m, -1)
     empty = ((gt_sum == 0.0) & (pred_sum.data == 0.0)).astype(pred.data.dtype)
-    inter = sum_axis(mul(m, g), -1)
+    inter = sum_axis(mul(m, p), -1)
     union = sub(pred_sum + gt_sum, inter)
     ratio = div(inter, add_const(union, empty))
     return mean_all(sub(1.0 - empty, ratio))

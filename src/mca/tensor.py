@@ -473,23 +473,3 @@ def normalize_rows(x) -> Tensor:
         return ((g - y * dot) / norms,)
 
     return _make(y, (x,), bw)
-
-
-# ---------------------------------------------------------------------------
-# spatial
-# ---------------------------------------------------------------------------
-
-def nearest_upsample(a, factor: int) -> Tensor:
-    """Repeat each entry of the last two axes [..., h, w] into a factor x factor block."""
-    a = _wrap(a)
-    if a.ndim < 2:
-        raise ShapeError(f"nearest_upsample needs [..., h, w] input, got {a.shape}")
-    if factor < 1:
-        raise ContractError(f"upsample factor must be >= 1, got {factor}")
-    out = np.repeat(np.repeat(a.data, factor, axis=-2), factor, axis=-1)
-    *lead, h, w = a.shape
-
-    def bw(g):
-        return (g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1)),)
-
-    return _make(out, (a,), bw)

@@ -22,8 +22,14 @@ All randomness derives from the config seed through fixed-purpose
 SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
 step stream of an uninterrupted run.
 
+The mask head is scored on the token grid (``mca.objectives``): a patch
+probability stands for each pixel of its block, so the losses and the
+train dice read per-block foreground counts of the truth, and only
+``predict`` upsamples, for ``mca eval`` and ``mca dump-masks``.
+
 Reductions, in their fixed order: BCE is the mean over every pixel of the
-batch; soft IoU is computed per image and then averaged over the batch; a
+batch, computed as the mean over its patches weighted by their foreground
+counts; soft IoU is computed per image and then averaged over the batch; a
 token InfoNCE term is the mean over the batch's images and anchors of one
 layer; each contrastive term is the mean of its per-layer values, summed
 left to right from layer 0 and scaled by 1/L.  With equal-sized images these
@@ -52,8 +58,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_text, config_to_text
 from .encoder import EncoderConfig, EncoderState, encoder_forward, init_encoder_state, tokenize
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbortError
-from .metrics import EvalPair, MetricReport, dice_iou, evaluate_dataset
-from .objectives import DecoderWeights, MaskPair, bce_loss, combine_losses, decode_mask, init_decoder, iou_loss
+from .metrics import THRESHOLD, EvalPair, MetricReport, evaluate_dataset
+from .objectives import (DecoderWeights, MaskPair, bce_loss, block_counts, combine_losses,
+                         decode_mask, init_decoder, iou_loss)
 from .synthdata import Sample, load_split
 from .tensor import Graph, Tensor, backward, get_default_dtype
 
@@ -245,10 +252,9 @@ def trunk_tokens(model: ModelState, images: Sequence[np.ndarray], adaptors_enabl
 
 
 def _decode_maps(model: ModelState, tokens: np.ndarray, chunk: int) -> np.ndarray:
-    """Probability maps [N, H, W] of final tokens [N, K, d], ``chunk`` maps per pass."""
+    """Patch probability maps [N, g, g] of final tokens [N, K, d], ``chunk`` maps per pass."""
     return np.concatenate([
-        decode_mask(Tensor(tokens[start:start + chunk]), model.decoder,
-                    model.encoder_cfg.patch_size).data
+        decode_mask(Tensor(tokens[start:start + chunk]), model.decoder).data
         for start in range(0, len(tokens), chunk)
     ])
 
@@ -257,10 +263,15 @@ def predict(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: b
             chunk: int) -> np.ndarray:
     """Probability maps [N, H, W] of N images [C, H, W], ``chunk`` images per pass.
 
-    Eager (no tape).  Every caller that must agree on thresholded masks
-    (train dice, ``evaluate``, ``dump-masks``) passes the run's batch size.
+    Eager (no tape).  Each patch probability is copied into its
+    patch_size x patch_size block; the sigmoid commutes with that copy, so
+    the maps are bitwise the sigmoid of the upsampled logits.  Every caller
+    that must agree on thresholded masks (train dice, ``evaluate``,
+    ``dump-masks``) decodes with the run's batch size.
     """
-    return _decode_maps(model, trunk_tokens(model, images, adaptors_enabled, chunk), chunk)
+    f = model.encoder_cfg.patch_size
+    maps = _decode_maps(model, trunk_tokens(model, images, adaptors_enabled, chunk), chunk)
+    return maps.repeat(f, axis=-2).repeat(f, axis=-1)
 
 
 def _layer_mean(losses: List[Tensor]) -> Tensor:
@@ -302,7 +313,7 @@ def step_objective(
         raise ContractError(f"cached trunk tokens need adaptors off, variant is {cfg.variant!r}")
     else:
         final = Tensor(tokens)
-    pair = MaskPair(decode_mask(final, model.decoder, model.encoder_cfg.patch_size), masks)
+    pair = MaskPair(decode_mask(final, model.decoder), masks)
     terms: Dict[str, object] = {
         "bce": bce_loss(pair), "iou_loss": iou_loss(pair), "cl_t": 0.0, "cl_s": 0.0,
     }
@@ -399,13 +410,29 @@ def _train_step(
 
 def _train_set_dice(model: ModelState, samples: List[Sample], cfg: TrainConfig,
                     trunk: Optional[np.ndarray] = None) -> float:
-    """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens."""
+    """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens.
+
+    Counted on the patch grid: a patch at or above THRESHOLD marks its
+    whole block, so tp, fp and fn are integer sums of the blocks'
+    foreground counts, and each dice is bitwise ``metrics.dice_iou`` of
+    the upsampled map.
+    """
     if trunk is None:
         trunk = trunk_tokens(model, [s.image for s in samples], cfg.adaptors_enabled,
                              cfg.batch_size)
     maps = _decode_maps(model, trunk, cfg.batch_size)
-    scores = [dice_iou(EvalPair(m, s.mask))[0] for m, s in zip(maps, samples)]
-    return float(np.mean(scores))
+    area = cfg.patch_size ** 2
+    bad = np.count_nonzero(~np.isfinite(maps), axis=(-2, -1))
+    if bad.any():
+        raise ContractError(f"prediction map has {bad[bad > 0][0] * area} non-finite values")
+    fg = block_counts(np.stack([s.mask for s in samples]), maps.shape[-2:])
+    hit = maps >= THRESHOLD
+    tp = (fg * hit).sum(axis=(-2, -1))
+    fp = ((area - fg) * hit).sum(axis=(-2, -1))
+    fn = (fg * ~hit).sum(axis=(-2, -1))
+    union = tp + fp + fn
+    dice = np.where(union == 0, 1.0, 2.0 * tp / np.maximum(union + tp, 1))
+    return float(np.mean(dice))
 
 
 # Config fields that name places, not the step stream: a resumed run may

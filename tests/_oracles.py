@@ -5,7 +5,9 @@ documented formulas, sharing no code with mca.metrics.  The objective
 oracle is the per-image loop the batched training step replaced: it calls
 the package's single-image layer functions once per image and reduces in
 Python floats, so it checks the batching and the reductions, not the
-layers.  Slow on purpose.
+layers.  Its mask losses are the per-pixel formulas in numpy, on the patch
+map upsampled with np.repeat, so they also check the patch-grid losses.
+Slow on purpose.
 """
 
 import numpy as np
@@ -158,7 +160,8 @@ def oracle_dice_iou(s, g, threshold=0.5):
 def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     """Per-image loop objective of one batch; every term as a float.
 
-    Per image: tokens, encoder, decoded mask, BCE and soft IoU, and the
+    Per image: tokens, encoder, the decoded patch map copied into its
+    patch x patch pixel blocks, the pixel BCE and soft IoU of that map, and the
     token InfoNCE averaged over layers whose token adaptor is nonzero
     (negatives drawn from ``pair_rng`` image by image, layer by layer).
     The sample InfoNCE takes each layer's [B, d] embeddings as plain
@@ -172,7 +175,7 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
         token_contrastive_loss,
     )
     from mca.encoder import encoder_forward, tokenize
-    from mca.objectives import MaskPair, bce_loss, decode_mask, iou_loss
+    from mca.objectives import BCE_CLAMP, decode_mask
     from mca.tensor import Tensor, get_default_dtype
 
     enc, ecfg = model.encoder, model.encoder_cfg
@@ -186,9 +189,14 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
         x0 = tokenize(images[b], ecfg, enc)
         xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
         x_in = [x0] + xs[:-1]
-        pair = MaskPair(decode_mask(xs[-1], model.decoder, ecfg.patch_size), masks[b])
-        bces.append(bce_loss(pair).item())
-        ious.append(iou_loss(pair).item())
+        f = ecfg.patch_size
+        m = decode_mask(xs[-1], model.decoder).data.repeat(f, axis=0).repeat(f, axis=1)
+        g = masks[b].astype(m.dtype)
+        mc = np.clip(m, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        bces.append(float(-np.mean(g * np.log(mc) + (1.0 - g) * np.log(1.0 - mc))))
+        inter, pred_sum, gt_sum = float((m * g).sum()), float(m.sum()), float(g.sum())
+        both_empty = pred_sum == 0.0 and gt_sum == 0.0
+        ious.append(0.0 if both_empty else 1.0 - inter / (pred_sum + gt_sum - inter))
         if cfg.use_token_loss and cfg.adaptors_enabled and live:
             n_tok = ecfg.num_tokens
             negatives = [

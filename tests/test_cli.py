@@ -123,6 +123,25 @@ def test_ablate_csv_structure(cli_workspace, tmp_path):
     assert lines[2].split(",")[0] == "mca"
 
 
+@pytest.mark.parametrize("threshold", ["2", "nan", "-0.5", "inf"])
+def test_dump_masks_threshold_outside_unit_interval_exits_1(cli_workspace, tmp_path, capsys,
+                                                            threshold):
+    out_dir = tmp_path / "masks"
+    assert main(["dump-masks", "--checkpoint", os.path.join(cli_workspace["out"], "checkpoint.mcaf"),
+                 "--data", cli_workspace["data"], "--out", str(out_dir),
+                 "--threshold", threshold]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --threshold") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_ablate_non_integer_seeds_exit_1_naming_the_flag(cli_workspace, capsys):
+    assert main(["ablate", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+                 "--variants", "mca", "--seeds", "0,x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seeds") and err.count("\n") == 1
+
+
 def test_gradcheck_command_passes():
     res = _run("gradcheck", "--seeds", "2", "--tol", "1e-4", timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr

@@ -16,7 +16,9 @@ from mca.objectives import (
     init_decoder,
     iou_loss,
 )
+from mca.synthdata import load_split
 from mca.tensor import Graph, Tensor, backward
+from mca.trainer import init_model, predict
 
 
 def test_bce_known_value(f64):
@@ -83,54 +85,52 @@ def test_iou_symmetric_under_joint_permutation(f64):
 def test_decoder_zero_init_gives_uniform_half(f64):
     w = init_decoder(8)
     xn = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-    out = decode_mask(xn, w, patch_size=4)
-    assert out.shape == (8, 8)
+    out = decode_mask(xn, w)
+    assert out.shape == (2, 2)
     np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
 
 def test_decode_mask_block_structure(f64):
     # One token carrying a positive pre-gain logit saturates exactly its own
     # patch; every other patch stays at 0.5.
-    d, patch = 8, 4
+    d = 8
     w = DecoderWeights(
         w=Tensor(np.eye(d)[:, :1] * 1.0, requires_grad=True),
         b=Tensor(np.zeros(1), requires_grad=True),
     )
     xn = np.zeros((4, d))
     xn[2, 0] = 10.0 / LOGIT_GAIN  # logit +10 after the fixed gain
-    out = decode_mask(Tensor(xn), w, patch_size=patch)
-    assert out.shape == (8, 8)
-    grid = out.data.reshape(2, patch, 2, patch).transpose(0, 2, 1, 3)
+    out = decode_mask(Tensor(xn), w)
+    assert out.shape == (2, 2)
     # Token index 2 -> grid row 1, col 0.
-    hot = grid[1, 0]
-    assert np.all(np.abs(hot - 1.0) < 1e-4)
+    assert abs(out.data[1, 0] - 1.0) < 1e-4
     for r in range(2):
         for c in range(2):
             if (r, c) != (1, 0):
-                np.testing.assert_allclose(grid[r, c], 0.5, atol=1e-12)
+                assert abs(out.data[r, c] - 0.5) < 1e-12
 
 
-def test_decode_mask_upsampling_is_nearest(f64):
-    d = 4
-    w = DecoderWeights(
-        w=Tensor(np.ones((d, 1)), requires_grad=True),
-        b=Tensor(np.zeros(1), requires_grad=True),
-    )
-    xn = Tensor(np.random.default_rng(2).normal(size=(4, d)) * (1.0 / LOGIT_GAIN))
-    out = decode_mask(xn, w, patch_size=3)
-    blocks = out.data.reshape(2, 3, 2, 3)
-    for r in range(2):
-        for c in range(2):
-            block = blocks[r, :, c, :]
-            assert np.all(block == block[0, 0])
+def test_decode_mask_upsampling_is_nearest(small_cfg, tiny_dataset):
+    # decode_mask stays on the patch grid; predict copies each patch
+    # probability into its patch x patch block of pixels.
+    cfg = small_cfg(variant="decoder_only")
+    model = init_model(cfg)
+    model.decoder.w.data = np.random.default_rng(2).normal(
+        0.0, 1e-3, model.decoder.w.data.shape).astype(model.decoder.w.data.dtype)
+    images = [s.image for s in load_split(tiny_dataset, "train")]
+    maps = predict(model, images, False, chunk=cfg.batch_size)
+    g, f = cfg.image_size // cfg.patch_size, cfg.patch_size
+    blocks = maps.reshape(len(images), g, f, g, f)
+    assert np.all(blocks == blocks[:, :, :1, :, :1])
+    assert len(np.unique(blocks[:, :, 0, :, 0])) > 1
 
 
 def test_decode_mask_shape_errors(f64):
     w = init_decoder(8)
     with pytest.raises(ShapeError):
-        decode_mask(Tensor(np.zeros((3, 8))), w, patch_size=4)  # 3 not square
+        decode_mask(Tensor(np.zeros((3, 8))), w)  # 3 not square
     with pytest.raises(ShapeError):
-        decode_mask(Tensor(np.zeros((4, 6))), w, patch_size=4)  # width mismatch
+        decode_mask(Tensor(np.zeros((4, 6))), w)  # width mismatch
 
 
 def test_mask_pair_validation():
@@ -140,6 +140,41 @@ def test_mask_pair_validation():
         MaskPair(Tensor(np.zeros((2, 2))), np.full((2, 2), 0.5))
     pair = MaskPair(np.full((2, 2), 0.25), np.ones((2, 2)))
     assert isinstance(pair.prediction, Tensor)  # ndarray gets wrapped
+
+
+@pytest.mark.parametrize("pred_shape, truth_shape", [
+    ((2, 2), (5, 5)),        # not a whole multiple
+    ((2, 2), (4, 6)),        # blocks 2 x 3, not square
+    ((2, 2), (1, 1)),        # smaller than the grid
+    ((2, 0), (4, 4)),        # an empty grid
+    ((2, 2, 2), (3, 4, 4)),  # batch sizes differ
+])
+def test_mask_pair_rejects_truth_not_tiling_the_prediction(pred_shape, truth_shape):
+    with pytest.raises(ContractError, match="mask shapes disagree"):
+        MaskPair(Tensor(np.full(pred_shape, 0.5)), np.zeros(truth_shape))
+
+
+@pytest.mark.parametrize("f", [2, 4])
+@pytest.mark.parametrize("loss_fn", [bce_loss, iou_loss])
+def test_patch_grid_loss_is_the_pixel_loss_of_the_upsampled_map(f64, f, loss_fn):
+    rng = np.random.default_rng(f)
+    patch = rng.uniform(0.05, 0.95, size=(3, 2, 2))
+    patch[2] = 0.0
+    gt = (rng.random((3, 2 * f, 2 * f)) > 0.5).astype(np.float64)
+    gt[2] = 0.0   # both empty: the IoU convention holds on the grid too
+    pixels = patch.repeat(f, axis=-2).repeat(f, axis=-1)
+    grids = {}
+    for name, pred in (("patch", patch), ("pixels", pixels)):
+        t = Tensor(pred, requires_grad=True)
+        with Graph() as g:
+            loss = loss_fn(MaskPair(t, gt))
+            backward(g, loss)
+        grids[name] = (float(loss.data), t.grad)
+    block_mean = gt.reshape(3, 2, f, 2, f).mean(axis=(-3, -1))
+    np.testing.assert_array_equal(MaskPair(Tensor(patch), gt).fraction, block_mean)
+    assert grids["patch"][0] == pytest.approx(grids["pixels"][0], rel=1e-12, abs=1e-15)
+    block_grad = grids["pixels"][1].reshape(3, 2, f, 2, f).sum(axis=(-3, -1))
+    np.testing.assert_allclose(grids["patch"][1], block_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_combine_losses_weighted_sum_and_validation(f64):

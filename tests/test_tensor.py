@@ -182,14 +182,6 @@ def test_backward_skips_frozen_operands(name):
                 assert gin is None, (name, live, i)
 
 
-def test_nearest_upsample_forward_and_shape():
-    a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    up = T.nearest_upsample(a, 2).data
-    assert up.shape == (4, 4)
-    assert np.array_equal(up[:2, :2], np.ones((2, 2)))
-    assert np.array_equal(up[2:, 2:], np.full((2, 2), 4.0))
-
-
 def test_clamp_masks_gradient(f64):
     x = T.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
     with T.Graph() as g:

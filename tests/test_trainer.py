@@ -15,7 +15,9 @@ from mca.checkpoint import load_checkpoint, save_checkpoint
 from mca.config import TrainConfig
 from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
-from mca.objectives import decode_mask
+from mca.kernels import sigmoid_forward
+from mca.metrics import EvalPair, dice_iou
+from mca.objectives import LOGIT_GAIN, decode_mask
 from mca.synthdata import load_split
 from mca.tensor import Graph, Tensor, backward
 from mca.trainer import (
@@ -24,6 +26,7 @@ from mca.trainer import (
     LOG_FIELDS,
     WEIGHT_DECAY,
     AdamState,
+    _train_set_dice,
     _train_step,
     adamw_step,
     cosine_lr,
@@ -431,8 +434,38 @@ def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
     for image, got in zip(images, maps):
         xs, _ = encoder_forward(tokenize(image, model.encoder_cfg, model.encoder),
                                 model.encoder, True)
-        want = decode_mask(xs[-1], model.decoder, model.encoder_cfg.patch_size).data
+        f = model.encoder_cfg.patch_size
+        want = decode_mask(xs[-1], model.decoder).data.repeat(f, axis=0).repeat(f, axis=1)
         assert np.max(np.abs(got - want)) <= PREDICT_ATOL
+
+
+def test_predict_is_the_sigmoid_of_upsampled_logits(small_cfg, tiny_dataset):
+    # The head decodes on the patch grid and predict copies the
+    # probabilities into blocks; the sigmoid commutes with that copy, so
+    # the maps are bitwise those of the upsample-then-sigmoid head.
+    cfg = small_cfg(variant="mca")
+    model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
+    for t in named_tensors(model).values():
+        t.data = t.data.astype(np.float32)  # the training width, as a checkpoint holds it
+    images = [s.image for s in load_split(tiny_dataset, "train")]
+    chunk, f, g = 3, cfg.patch_size, cfg.image_size // cfg.patch_size
+    maps = predict(model, images, True, chunk=chunk)
+    tokens = trainer_mod.trunk_tokens(model, images, True, chunk)
+    w, b = model.decoder.w.data, model.decoder.b.data
+    logits = np.concatenate([((tokens[i:i + chunk] @ w + b) * LOGIT_GAIN).reshape(-1, g, g)
+                             for i in range(0, len(tokens), chunk)])
+    want = sigmoid_forward(logits.repeat(f, axis=-2).repeat(f, axis=-1))
+    assert maps.dtype == want.dtype and np.array_equal(maps, want)
+
+
+def test_train_set_dice_equals_dice_iou_of_upsampled_maps(small_cfg, tiny_dataset):
+    cfg = small_cfg(variant="mca", epochs=3)
+    model = train(cfg).model
+    samples = load_split(tiny_dataset, "train")
+    maps = predict(model, [s.image for s in samples], True, cfg.batch_size)
+    scores = [dice_iou(EvalPair(m, s.mask))[0] for m, s in zip(maps, samples)]
+    assert len(set(scores)) > 2  # a partly trained head: the dice differ by image
+    assert _train_set_dice(model, samples, cfg) == float(np.mean(scores))
 
 
 def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatch):

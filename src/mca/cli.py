@@ -74,9 +74,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     from .trainer import evaluate, model_from_checkpoint
 
-    model, cfg, _step = model_from_checkpoint(args.checkpoint)
-    samples = load_split(args.data, args.split)
-    report = evaluate(model, samples, cfg)
+    model, _step = model_from_checkpoint(args.checkpoint)
+    report = evaluate(model, load_split(args.data, args.split))
     text = report_to_csv(report)
     if args.out:
         _write_atomic(args.out, text.encode("ascii"))
@@ -117,10 +116,10 @@ def _cmd_dump_masks(args: argparse.Namespace) -> int:
 
     if not 0.0 <= args.threshold <= 1.0:  # also false for NaN
         raise ConfigError(f"--threshold must lie in [0, 1], got {args.threshold}")
-    model, cfg, _step = model_from_checkpoint(args.checkpoint)
+    model, _step = model_from_checkpoint(args.checkpoint)
     samples = load_split(args.data, args.split)
     os.makedirs(args.out, exist_ok=True)
-    maps = predict(model, [s.image for s in samples], cfg.adaptors_enabled, cfg.batch_size)
+    maps = predict(model, [s.image for s in samples])
     for s, m in zip(samples, maps):
         binary = (m >= args.threshold).astype(np.uint8)
         save_pgm(os.path.join(args.out, f"{s.id}.pgm"), binary)

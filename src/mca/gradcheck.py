@@ -306,7 +306,7 @@ def _check_total_loss(rng, deep: bool) -> List[float]:
         _randomize(pair.token.w_up, rng, 0.1)
         _randomize(pair.token.b_up, rng, 0.1)
     dec = DecoderWeights(w=_t(rng, (cfg.embed_dim, 1), 0.3), b=_t(rng, (1,), 0.3))
-    model = ModelState(encoder_cfg=cfg, encoder=state, decoder=dec)
+    model = ModelState(cfg=cfg, encoder=state, decoder=dec)
 
     size = cfg.image_size
     images = np.stack([rng.random((3, size, size)) for _ in range(2)])
@@ -314,7 +314,7 @@ def _check_total_loss(rng, deep: bool) -> List[float]:
     masks = np.stack([(rng.random((size, size)) > 0.5).astype(np.float64) for _ in range(2)])
 
     def objective(_v):
-        total, _terms = step_objective(model, images, views, masks, cfg, None)
+        total, _terms = step_objective(model, images, views, masks, None)
         return total
 
     targets = [

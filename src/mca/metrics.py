@@ -221,22 +221,3 @@ def report_to_csv(report: MetricReport) -> str:
     writer.writerow(["MEAN"] + [f"{report.means[m]:.6f}" for m in METRIC_NAMES])
     return buf.getvalue()
 
-
-def parse_report_csv(text: str) -> MetricReport:
-    """Inverse of report_to_csv at 6-decimal precision."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_HEADER:
-        raise ContractError(f"unexpected metrics CSV header: {header}")
-    rows, means = [], None
-    for rec in reader:
-        if not rec:
-            continue
-        values = {m: float(v) for m, v in zip(METRIC_NAMES, rec[1:])}
-        if rec[0] == "MEAN":
-            means = values
-        else:
-            rows.append({"image": rec[0], **values})
-    if means is None:
-        raise ContractError("metrics CSV missing MEAN row")
-    return MetricReport(rows=rows, means=means)

@@ -10,13 +10,18 @@ adaptor inputs, masks are decoded from the final layer, the objective is
 combined and backpropagated, and AdamW updates the adaptor and decoder
 weights only.  Frozen encoder tensors are never updated.
 
+A ``ModelState`` carries the ``TrainConfig`` that built it, and every
+function here reads the variant, the losses and the batch size from
+``model.cfg``: no config travels beside a model, so the two cannot
+disagree.  Eager passes (``trunk_tokens``, ``predict``, the train dice)
+run ``batch_size`` images at a time.
+
 With no adaptor active (``decoder_only``) no tunable tensor lies upstream of
 the final tokens, so they are a fixed function of the image: ``train``
 computes them for the whole train split once per session (``trunk_tokens``,
 after any resume load), and every step and every train dice decodes that
-cache instead of running the encoder again.  The cache is built in
-``batch_size`` chunks in manifest order, as ``predict`` runs, and a step
-takes the rows of its shuffled batch.
+cache instead of running the encoder again.  The cache is in manifest
+order, and a step takes the rows of its shuffled batch.
 
 All randomness derives from the config seed through fixed-purpose
 SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
@@ -56,9 +61,9 @@ from .adaptors import (
 from .augment import parse_strategy, sample_view
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_text, config_to_text
-from .encoder import EncoderConfig, EncoderState, encoder_forward, init_encoder_state, tokenize
+from .encoder import EncoderState, encoder_forward, init_encoder_state, tokenize
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbortError
-from .metrics import THRESHOLD, EvalPair, MetricReport, evaluate_dataset
+from .metrics import METRIC_NAMES, THRESHOLD, EvalPair, MetricReport, evaluate_dataset
 from .objectives import (DecoderWeights, MaskPair, bce_loss, block_counts, combine_losses,
                          decode_mask, init_decoder, iou_loss)
 from .synthdata import Sample, load_split
@@ -110,8 +115,6 @@ def adamw_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    betas: Tuple[float, float] = ADAM_BETAS,
-    eps: float = ADAM_EPS,
     weight_decay: float = WEIGHT_DECAY,
     name: str = "",
 ) -> AdamState:
@@ -123,21 +126,23 @@ def adamw_step(
         )
     if not np.all(np.isfinite(grad)):
         raise TrainingAbortError(f"non-finite gradient for tensor {name or '<unnamed>'}")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     state.m = b1 * state.m + (1.0 - b1) * grad
     state.v = b2 * state.v + (1.0 - b2) * (grad * grad)
     m_hat = state.m / (1.0 - b1 ** state.t)
     v_hat = state.v / (1.0 - b2 ** state.t)
     weights.data = weights.data - lr * (
-        m_hat / (np.sqrt(v_hat) + eps) + weight_decay * weights.data
+        m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * weights.data
     )
     return state
 
 
 @dataclass
 class ModelState:
-    encoder_cfg: EncoderConfig
+    """Weights and the config that built them; every function of the model reads it."""
+
+    cfg: TrainConfig
     encoder: EncoderState
     decoder: DecoderWeights
 
@@ -146,7 +151,7 @@ def init_model(cfg: TrainConfig) -> ModelState:
     """Seeded model; the same seed yields identical weights for every variant."""
     rng = derive_rng(cfg.seed, _PURPOSE_INIT)
     return ModelState(
-        encoder_cfg=cfg,
+        cfg=cfg,
         encoder=init_encoder_state(cfg, rng, cfg.bottleneck),
         decoder=init_decoder(cfg.embed_dim),
     )
@@ -175,15 +180,16 @@ def named_tensors(model: ModelState) -> "OrderedDict[str, Tensor]":
     return out
 
 
-def tunable_names(model: ModelState, cfg: TrainConfig) -> List[str]:
+def tunable_names(model: ModelState) -> List[str]:
     """Token adaptors when enabled, then sample adaptors when used, then the decoder."""
+    cfg = model.cfg
     groups = [".tc."] * cfg.adaptors_enabled + [".sc."] * cfg.use_sample_loss + ["decoder."]
     named = named_tensors(model)
     return [name for group in groups for name in named if group in name]
 
 
-def frozen_names(model: ModelState, cfg: TrainConfig) -> List[str]:
-    all_tunable = set(tunable_names(model, cfg))
+def frozen_names(model: ModelState) -> List[str]:
+    all_tunable = set(tunable_names(model))
     return [n for n in named_tensors(model) if n not in all_tunable]
 
 
@@ -210,13 +216,12 @@ def _load_model_arrays(model: ModelState, arrays: Dict[str, np.ndarray]) -> None
         tensor.data = arr.astype(tensor.data.dtype, copy=True)
 
 
-def model_from_checkpoint(path: str) -> Tuple[ModelState, TrainConfig, int]:
+def model_from_checkpoint(path: str) -> Tuple[ModelState, int]:
     """Rebuild a model from the self-describing checkpoint config echo."""
     arrays, config_text, step = load_checkpoint(path)
-    cfg = config_from_text(config_text)
-    model = init_model(cfg)
+    model = init_model(config_from_text(config_text))
     _load_model_arrays(model, arrays)
-    return model, cfg, step
+    return model, step
 
 
 def checkpoint_payload(model: ModelState, opt: Dict[str, AdamState]) -> "OrderedDict[str, np.ndarray]":
@@ -235,42 +240,39 @@ def _clear_grads(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
-def trunk_tokens(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: bool,
-                 chunk: int) -> np.ndarray:
-    """Final-layer tokens [N, K, d] of N images [C, H, W], ``chunk`` images per pass.
+def trunk_tokens(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Final-layer tokens [N, K, d] of N images [C, H, W], ``batch_size`` images per pass.
 
-    Eager (no tape).
+    Eager (no tape); the adaptors run when the model's variant enables them.
     """
-    if chunk < 1:
-        raise ContractError(f"trunk chunk must be >= 1, got {chunk}")
-    tokens = []
-    for start in range(0, len(images), chunk):
-        x0 = tokenize(np.stack(images[start:start + chunk]), model.encoder_cfg, model.encoder)
-        xs, _ = encoder_forward(x0, model.encoder, adaptors_enabled)
+    cfg, tokens = model.cfg, []
+    for start in range(0, len(images), cfg.batch_size):
+        x0 = tokenize(np.stack(images[start:start + cfg.batch_size]), cfg, model.encoder)
+        xs, _ = encoder_forward(x0, model.encoder, cfg.adaptors_enabled)
         tokens.append(xs[-1].data)
     return np.concatenate(tokens)
 
 
-def _decode_maps(model: ModelState, tokens: np.ndarray, chunk: int) -> np.ndarray:
-    """Patch probability maps [N, g, g] of final tokens [N, K, d], ``chunk`` maps per pass."""
+def _decode_maps(model: ModelState, tokens: np.ndarray) -> np.ndarray:
+    """Patch probability maps [N, g, g] of final tokens [N, K, d], ``batch_size`` per pass."""
+    chunk = model.cfg.batch_size
     return np.concatenate([
         decode_mask(Tensor(tokens[start:start + chunk]), model.decoder).data
         for start in range(0, len(tokens), chunk)
     ])
 
 
-def predict(model: ModelState, images: Sequence[np.ndarray], adaptors_enabled: bool,
-            chunk: int) -> np.ndarray:
-    """Probability maps [N, H, W] of N images [C, H, W], ``chunk`` images per pass.
+def predict(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Probability maps [N, H, W] of N images [C, H, W], ``batch_size`` images per pass.
 
     Eager (no tape).  Each patch probability is copied into its
     patch_size x patch_size block; the sigmoid commutes with that copy, so
-    the maps are bitwise the sigmoid of the upsampled logits.  Every caller
-    that must agree on thresholded masks (train dice, ``evaluate``,
-    ``dump-masks``) decodes with the run's batch size.
+    the maps are bitwise the sigmoid of the upsampled logits.  The train
+    dice, ``evaluate`` and ``dump-masks`` all decode through here or
+    ``_decode_maps``, so they agree on thresholded masks.
     """
-    f = model.encoder_cfg.patch_size
-    maps = _decode_maps(model, trunk_tokens(model, images, adaptors_enabled, chunk), chunk)
+    f = model.cfg.patch_size
+    maps = _decode_maps(model, trunk_tokens(model, images))
     return maps.repeat(f, axis=-2).repeat(f, axis=-1)
 
 
@@ -284,7 +286,6 @@ def step_objective(
     images: np.ndarray,
     views: Optional[np.ndarray],
     masks: np.ndarray,
-    cfg: TrainConfig,
     pair_rng: Optional[np.random.Generator],
     tokens: Optional[np.ndarray] = None,
 ) -> Tuple[Tensor, Dict[str, object]]:
@@ -300,9 +301,9 @@ def step_objective(
     ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that is off is the float
     0.0).
     """
-    enc = model.encoder
+    cfg, enc = model.cfg, model.encoder
     if tokens is None:
-        x0 = tokenize(images, model.encoder_cfg, enc)
+        x0 = tokenize(images, cfg, enc)
         xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
         # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = what
         # layer i consumed), not on the layer outputs: the token loss aligns
@@ -324,7 +325,7 @@ def step_objective(
         # zero vector is undefined.  Mask-loss gradients make them nonzero
         # after the first update.
         live = [i for i, p in enumerate(enc.adaptors) if not token_adaptor_is_zero(p.token)]
-        n_tok, limit = model.encoder_cfg.num_tokens, cfg.token_pair_limit
+        n_tok, limit = cfg.num_tokens, cfg.token_pair_limit
         negatives = dict.fromkeys(live)
         if limit and n_tok - 1 > limit and pair_rng is not None:
             # The kept negatives depend only on the rng, so they are drawn
@@ -339,7 +340,7 @@ def step_objective(
             ])
 
     if cfg.use_sample_loss:
-        x0a = tokenize(views, model.encoder_cfg, enc)
+        x0a = tokenize(views, cfg, enc)
         # The sample loss reads each layer's input, so the view pass stops
         # before the last layer, whose output nothing reads.
         xsa, _ = encoder_forward(x0a, replace(enc, layers=enc.layers[:-1]),
@@ -359,7 +360,6 @@ def step_objective(
 def _train_step(
     model: ModelState,
     batch: List[Sample],
-    cfg: TrainConfig,
     lr: float,
     opt: Dict[str, AdamState],
     epoch: int,
@@ -367,6 +367,7 @@ def _train_step(
     global_step: int,
     tokens: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
+    cfg = model.cfg
     images = np.stack([s.image for s in batch])
     masks = np.stack([s.mask for s in batch])
     views = None
@@ -385,7 +386,7 @@ def _train_step(
 
     try:
         with Graph() as g:
-            total, terms = step_objective(model, images, views, masks, cfg, pair_rng, tokens)
+            total, terms = step_objective(model, images, views, masks, pair_rng, tokens)
             backward(g, total)
     except (TrainingAbortError, DegenerateInputError) as exc:
         # A zero-norm embedding or token row in a contrastive term, or a
@@ -408,7 +409,7 @@ def _train_step(
     return out
 
 
-def _train_set_dice(model: ModelState, samples: List[Sample], cfg: TrainConfig,
+def _train_set_dice(model: ModelState, samples: List[Sample],
                     trunk: Optional[np.ndarray] = None) -> float:
     """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens.
 
@@ -418,10 +419,9 @@ def _train_set_dice(model: ModelState, samples: List[Sample], cfg: TrainConfig,
     the upsampled map.
     """
     if trunk is None:
-        trunk = trunk_tokens(model, [s.image for s in samples], cfg.adaptors_enabled,
-                             cfg.batch_size)
-    maps = _decode_maps(model, trunk, cfg.batch_size)
-    area = cfg.patch_size ** 2
+        trunk = trunk_tokens(model, [s.image for s in samples])
+    maps = _decode_maps(model, trunk)
+    area = model.cfg.patch_size ** 2
     bad = np.count_nonzero(~np.isfinite(maps), axis=(-2, -1))
     if bad.any():
         raise ContractError(f"prediction map has {bad[bad > 0][0] * area} non-finite values")
@@ -468,7 +468,7 @@ def train(
     model = init_model(cfg)
     named = named_tensors(model)
     opt = {name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
-           for name in tunable_names(model, cfg)}
+           for name in tunable_names(model)}
     start_step = 0
     if resume_from is not None:
         arrays, config_text, start_step = load_checkpoint(resume_from)
@@ -498,8 +498,7 @@ def train(
     start_epoch = start_step // steps_per_epoch if steps_per_epoch else 0
     start_offset = start_step % steps_per_epoch if steps_per_epoch else 0
     # Built after any resume load, which sets the frozen weights it depends on.
-    trunk = (None if cfg.adaptors_enabled
-             else trunk_tokens(model, [s.image for s in samples], False, cfg.batch_size))
+    trunk = None if cfg.adaptors_enabled else trunk_tokens(model, [s.image for s in samples])
 
     log: List[Dict[str, float]] = []
     suspended = False
@@ -521,7 +520,7 @@ def train(
             lr = cosine_lr(global_step, total_steps, cfg.lr_start, cfg.lr_end)
             if epoch_lr is None:
                 epoch_lr = lr
-            terms = _train_step(model, batch, cfg, lr, opt, epoch, b, global_step,
+            terms = _train_step(model, batch, lr, opt, epoch, b, global_step,
                                 None if trunk is None else trunk[idxs])
             global_step += 1
             n_steps += 1
@@ -532,7 +531,7 @@ def train(
         row = {"epoch": float(epoch), "lr": float(epoch_lr if epoch_lr is not None else 0.0)}
         for k in sums:
             row[k] = sums[k] / n_steps
-        row["train_dice"] = _train_set_dice(model, samples, cfg, trunk)
+        row["train_dice"] = _train_set_dice(model, samples, trunk)
         log.append(row)
 
     return TrainResult(
@@ -556,9 +555,9 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(model: ModelState, samples: List[Sample], cfg: TrainConfig) -> MetricReport:
+def evaluate(model: ModelState, samples: List[Sample]) -> MetricReport:
     """Inference scoring: no augmentation branch, no contrastive losses."""
-    maps = predict(model, [s.image for s in samples], cfg.adaptors_enabled, cfg.batch_size)
+    maps = predict(model, [s.image for s in samples])
     pairs = [EvalPair(np.clip(m.astype(np.float64), 0.0, 1.0), s.mask)
              for m, s in zip(maps, samples)]
     return evaluate_dataset(pairs, [s.id for s in samples])
@@ -571,9 +570,6 @@ def save_result(result: TrainResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------
-
-ABLATION_METRICS = ("mae", "s_measure", "e_measure", "ber", "dice", "iou")
-
 
 def run_ablation(
     base_cfg: TrainConfig,
@@ -604,22 +600,22 @@ def run_ablation(
         for seed in seeds:
             cfg = replace(base_cfg, seed=seed, **{axis: value})
             result = train(cfg)
-            report = evaluate(result.model, test_samples, cfg)
+            report = evaluate(result.model, test_samples)
             per_seed.append(report.means)
         row: Dict[str, object] = {"name": value, "seeds": len(seeds)}
-        for metric in ABLATION_METRICS:
+        for metric in METRIC_NAMES:
             vals = np.array([m[metric] for m in per_seed])
             row[f"{metric}_mean"] = float(vals.mean())
             row[f"{metric}_std"] = float(vals.std())
         rows.append(row)
 
     header = ["name", "seeds"]
-    for metric in ABLATION_METRICS:
+    for metric in METRIC_NAMES:
         header += [f"{metric}_mean", f"{metric}_std"]
     lines = [",".join(header)]
     for row in rows:
         cells = [str(row["name"]), str(row["seeds"])]
-        for metric in ABLATION_METRICS:
+        for metric in METRIC_NAMES:
             cells += [f"{row[f'{metric}_mean']:.6f}", f"{row[f'{metric}_std']:.6f}"]
         lines.append(",".join(cells))
     return rows, "\n".join(lines) + "\n"

@@ -178,7 +178,7 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     from mca.objectives import BCE_CLAMP, decode_mask
     from mca.tensor import Tensor, get_default_dtype
 
-    enc, ecfg = model.encoder, model.encoder_cfg
+    enc, ecfg = model.encoder, model.cfg
     n_layers = len(enc.layers)
     limit = cfg.token_pair_limit
     live = [i for i in range(n_layers) if not token_adaptor_is_zero(enc.adaptors[i].token)]

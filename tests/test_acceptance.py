@@ -95,7 +95,7 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="mca", epochs=0)
     model = init_model(cfg)
     sample = load_split(tiny_dataset, "test")[0]
-    x0 = tokenize(sample.image, model.encoder_cfg, model.encoder)
+    x0 = tokenize(sample.image, model.cfg, model.encoder)
     xs_on, _ = encoder_forward(x0, model.encoder, adaptors_enabled=True)
     xs_off, _ = encoder_forward(x0, model.encoder, adaptors_enabled=False)
     forward_equal = all(
@@ -106,7 +106,7 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
     cfg_full = TrainConfig(variant="mca")
     model_full = init_model(cfg_full)
     img = generate_sample(SceneSpec(kind="camouflage"), 99).image
-    x0f = tokenize(img, model_full.encoder_cfg, model_full.encoder)
+    x0f = tokenize(img, model_full.cfg, model_full.encoder)
     on, _ = encoder_forward(x0f, model_full.encoder, adaptors_enabled=True)
     off, _ = encoder_forward(x0f, model_full.encoder, adaptors_enabled=False)
     forward_equal &= all(np.array_equal(a.data, b.data) for a, b in zip(on, off))
@@ -114,10 +114,8 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
     # Evaluation path: an untrained adaptor model scores identically to the
     # decoder_only variant, down to the serialized metric report.
     samples = load_split(tiny_dataset, "test")
-    report_mca = evaluate(init_model(small_cfg(variant="mca")), samples,
-                          small_cfg(variant="mca"))
-    report_dec = evaluate(init_model(small_cfg(variant="decoder_only")), samples,
-                          small_cfg(variant="decoder_only"))
+    report_mca = evaluate(init_model(small_cfg(variant="mca")), samples)
+    report_dec = evaluate(init_model(small_cfg(variant="decoder_only")), samples)
     eval_equal = report_to_csv(report_mca) == report_to_csv(report_dec)
 
     _record(
@@ -272,7 +270,7 @@ def test_criterion_8_determinism_and_persistence(small_cfg, tmp_path):
     init = named_tensors(init_model(cfg))
     frozen_untouched = all(
         np.array_equal(r1.tensors[name], init[name].data)
-        for name in frozen_names(r1.model, cfg)
+        for name in frozen_names(r1.model)
     )
     ok = bytes_equal and logs_equal and round_trip and frozen_untouched
     _record(

@@ -1,4 +1,4 @@
-"""Metric suite vs. brute-force oracles, trivial identities, CSV round-trip."""
+"""Metric suite vs. brute-force oracles, trivial identities, CSV format."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from mca.metrics import (
     e_measure,
     evaluate_dataset,
     mae,
-    parse_report_csv,
     report_to_csv,
     s_measure,
 )
@@ -209,27 +208,16 @@ def test_evaluate_dataset_validation():
         evaluate_dataset([_random_pair(rng)], names=["a", "b"])
 
 
-def test_csv_round_trip_at_6_decimals():
+def test_report_csv_text_at_6_decimals():
     rng = np.random.default_rng(11)
     report = evaluate_dataset([_random_pair(rng) for _ in range(3)], names=["a", "b", "c"])
-    text = report_to_csv(report)
-    lines = text.strip().split("\n")
-    assert lines[0] == "image,mae,s_measure,e_measure,ber,dice,iou"
-    assert len(lines) == 5 and lines[-1].startswith("MEAN,")
-    back = parse_report_csv(text)
-    assert [r["image"] for r in back.rows] == ["a", "b", "c"]
-    for row, orig in zip(back.rows, report.rows):
-        for m in METRIC_NAMES:
-            assert abs(row[m] - orig[m]) < 5e-7
-    assert report_to_csv(back) == text  # fixed formatting is idempotent
-
-
-def test_parse_report_csv_rejects_bad_header_and_missing_mean():
-    with pytest.raises(ContractError):
-        parse_report_csv("image,mae\nx,0.0\n")
-    good_header = "image,mae,s_measure,e_measure,ber,dice,iou\n"
-    with pytest.raises(ContractError):
-        parse_report_csv(good_header + "x,0,0,0,0,0,0\n")
+    header, *lines, end = report_to_csv(report).split("\n")
+    assert header == "image,mae,s_measure,e_measure,ber,dice,iou"
+    assert end == ""  # one trailing newline, no blank rows
+    cells = [line.split(",") for line in lines]
+    assert [row[0] for row in cells] == ["a", "b", "c", "MEAN"]
+    for row, values in zip(cells, report.rows + [report.means]):
+        assert row[1:] == [f"{values[m]:.6f}" for m in METRIC_NAMES]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

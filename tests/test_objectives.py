@@ -118,7 +118,7 @@ def test_decode_mask_upsampling_is_nearest(small_cfg, tiny_dataset):
     model.decoder.w.data = np.random.default_rng(2).normal(
         0.0, 1e-3, model.decoder.w.data.shape).astype(model.decoder.w.data.dtype)
     images = [s.image for s in load_split(tiny_dataset, "train")]
-    maps = predict(model, images, False, chunk=cfg.batch_size)
+    maps = predict(model, images)
     g, f = cfg.image_size // cfg.patch_size, cfg.patch_size
     blocks = maps.reshape(len(images), g, f, g, f)
     assert np.all(blocks == blocks[:, :, :1, :, :1])

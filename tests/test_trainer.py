@@ -52,11 +52,11 @@ OBJECTIVE_RTOL = 1e-10
 PREDICT_ATOL = 1e-6
 
 
-def _fresh_opt(model, cfg):
+def _fresh_opt(model):
     named = named_tensors(model)
     return {
         name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
-        for name in tunable_names(model, cfg)
+        for name in tunable_names(model)
     }
 
 
@@ -173,7 +173,6 @@ def test_named_tensor_universe(small_cfg):
 
 
 def test_tunable_partition_per_variant(small_cfg):
-    model = init_model(small_cfg())
     expected_counts = {
         "decoder_only": 2,
         "adaptor_plain": 2 + 2 * 4,
@@ -183,10 +182,11 @@ def test_tunable_partition_per_variant(small_cfg):
     }
     for variant, count in expected_counts.items():
         cfg = small_cfg(variant=variant)
-        tun = tunable_names(model, cfg)
+        model = init_model(cfg)
+        tun = tunable_names(model)
         assert len(tun) == count, variant
         assert "decoder.w" in tun and "decoder.b" in tun
-        froz = frozen_names(model, cfg)
+        froz = frozen_names(model)
         assert set(tun).isdisjoint(froz)
         assert set(tun) | set(froz) == set(named_tensors(model))
         assert any(n.startswith("layer0.tc.") for n in tun) == cfg.adaptors_enabled
@@ -206,7 +206,7 @@ def test_registry_names_are_the_checkpoint_format(small_cfg):
                                  "w_mlp2", "b_mlp2")]
         + ["layer0.tc." + f for f in tc] + ["layer0.sc." + f for f in sc]
     )
-    assert tunable_names(model, cfg) == (
+    assert tunable_names(model) == (
         [f"layer{i}.tc.{f}" for i in range(cfg.num_layers) for f in tc]
         + [f"layer{i}.sc.{f}" for i in range(cfg.num_layers) for f in sc]
         + ["decoder.w", "decoder.b"]
@@ -238,11 +238,11 @@ def test_frozen_tensors_never_move(small_cfg):
     result = train(cfg)
     init = named_tensors(init_model(cfg))
     moved = 0
-    for name in frozen_names(result.model, cfg):
+    for name in frozen_names(result.model):
         np.testing.assert_array_equal(
             result.tensors[name], init[name].data, err_msg=name
         )
-    for name in tunable_names(result.model, cfg):
+    for name in tunable_names(result.model):
         if np.any(result.tensors[name] != init[name].data):
             moved += 1
     assert moved > 0  # training actually updates the tunable set
@@ -369,10 +369,10 @@ def test_zero_sample_embedding_aborts_with_step_label(small_cfg, tiny_dataset):
     for pair in model.encoder.adaptors:
         pair.sample.w_up.data[...] = 0.0
         pair.sample.b_up.data[...] = 0.0
-    opt = _fresh_opt(model, cfg)
+    opt = _fresh_opt(model)
     batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
     with pytest.raises(TrainingAbortError, match=r"^step 3: .*zero-norm"):
-        _train_step(model, batch, cfg, cfg.lr_start, opt, epoch=1, step_in_epoch=1,
+        _train_step(model, batch, cfg.lr_start, opt, epoch=1, step_in_epoch=1,
                     global_step=3)
 
 
@@ -383,7 +383,7 @@ def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
     batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
     with pytest.raises(TrainingAbortError,
                        match=r"^step 5: mask prediction has \d+ non-finite values"):
-        _train_step(model, batch, cfg, cfg.lr_start, _fresh_opt(model, cfg), epoch=2,
+        _train_step(model, batch, cfg.lr_start, _fresh_opt(model), epoch=2,
                     step_in_epoch=1, global_step=5)
 
 
@@ -414,7 +414,7 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
                                                variant, limit, live_layers):
     cfg = small_cfg(variant=variant, token_pair_limit=limit)
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, live_layers)
-    total, terms = step_objective(model, images, views, masks, cfg, derive_rng(cfg.seed, 3, 0))
+    total, terms = step_objective(model, images, views, masks, derive_rng(cfg.seed, 3, 0))
     got = {k: (t.item() if isinstance(t, Tensor) else t) for k, t in terms.items()}
     got["total"] = total.item()
     want = oracle_step_objective(model, images, views, masks, cfg, derive_rng(cfg.seed, 3, 0))
@@ -426,15 +426,15 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
 
 
 def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
-    cfg = small_cfg(variant="mca")
+    cfg = small_cfg(variant="mca", batch_size=3)
     model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
     images = [s.image for s in load_split(tiny_dataset, "train")]
-    maps = predict(model, images, True, chunk=3)  # 8 images: chunks of 3, 3 and 2
+    maps = predict(model, images)  # 8 images: chunks of 3, 3 and 2
     assert maps.shape == (8, 32, 32)
     for image, got in zip(images, maps):
-        xs, _ = encoder_forward(tokenize(image, model.encoder_cfg, model.encoder),
+        xs, _ = encoder_forward(tokenize(image, model.cfg, model.encoder),
                                 model.encoder, True)
-        f = model.encoder_cfg.patch_size
+        f = model.cfg.patch_size
         want = decode_mask(xs[-1], model.decoder).data.repeat(f, axis=0).repeat(f, axis=1)
         assert np.max(np.abs(got - want)) <= PREDICT_ATOL
 
@@ -443,14 +443,14 @@ def test_predict_is_the_sigmoid_of_upsampled_logits(small_cfg, tiny_dataset):
     # The head decodes on the patch grid and predict copies the
     # probabilities into blocks; the sigmoid commutes with that copy, so
     # the maps are bitwise those of the upsample-then-sigmoid head.
-    cfg = small_cfg(variant="mca")
+    cfg = small_cfg(variant="mca", batch_size=3)
     model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
     for t in named_tensors(model).values():
         t.data = t.data.astype(np.float32)  # the training width, as a checkpoint holds it
     images = [s.image for s in load_split(tiny_dataset, "train")]
-    chunk, f, g = 3, cfg.patch_size, cfg.image_size // cfg.patch_size
-    maps = predict(model, images, True, chunk=chunk)
-    tokens = trainer_mod.trunk_tokens(model, images, True, chunk)
+    chunk, f, g = cfg.batch_size, cfg.patch_size, cfg.image_size // cfg.patch_size
+    maps = predict(model, images)
+    tokens = trainer_mod.trunk_tokens(model, images)
     w, b = model.decoder.w.data, model.decoder.b.data
     logits = np.concatenate([((tokens[i:i + chunk] @ w + b) * LOGIT_GAIN).reshape(-1, g, g)
                              for i in range(0, len(tokens), chunk)])
@@ -462,10 +462,10 @@ def test_train_set_dice_equals_dice_iou_of_upsampled_maps(small_cfg, tiny_datase
     cfg = small_cfg(variant="mca", epochs=3)
     model = train(cfg).model
     samples = load_split(tiny_dataset, "train")
-    maps = predict(model, [s.image for s in samples], True, cfg.batch_size)
+    maps = predict(model, [s.image for s in samples])
     scores = [dice_iou(EvalPair(m, s.mask))[0] for m, s in zip(maps, samples)]
     assert len(set(scores)) > 2  # a partly trained head: the dice differ by image
-    assert _train_set_dice(model, samples, cfg) == float(np.mean(scores))
+    assert _train_set_dice(model, samples) == float(np.mean(scores))
 
 
 def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatch):
@@ -477,7 +477,7 @@ def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatc
     monkeypatch.setattr(encoder_mod, "layer_forward",
                         lambda *args: calls.append(None) or forward(*args))
     batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
-    _train_step(model, batch, cfg, cfg.lr_start, _fresh_opt(model, cfg), epoch=0,
+    _train_step(model, batch, cfg.lr_start, _fresh_opt(model), epoch=0,
                 step_in_epoch=0, global_step=0)
     assert len(calls) == 2 * cfg.num_layers - 1
 
@@ -498,8 +498,8 @@ def _decoder_only_session(cfg, tmp_path, stop, recompute, monkeypatch):
         m.setattr(trainer_mod, "encoder_forward", counted_forward)
         if recompute:
             objective, dice = trainer_mod.step_objective, trainer_mod._train_set_dice
-            m.setattr(trainer_mod, "step_objective", lambda *args: objective(*args[:6]))
-            m.setattr(trainer_mod, "_train_set_dice", lambda *args: dice(*args[:3]))
+            m.setattr(trainer_mod, "step_objective", lambda *args: objective(*args[:5]))
+            m.setattr(trainer_mod, "_train_set_dice", lambda *args: dice(*args[:2]))
         if stop is None:
             return [train(cfg)], calls
         first = train(cfg, stop_after_steps=stop)
@@ -529,19 +529,19 @@ def test_trunk_cache_matches_recomputed_trunk(small_cfg, tmp_path, monkeypatch, 
 def test_cached_tokens_refused_with_adaptors(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="adaptor_plain")
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, ())
-    tokens = trainer_mod.trunk_tokens(model, list(images), False, 4)
+    tokens = trainer_mod.trunk_tokens(model, list(images))
     with pytest.raises(ContractError, match="adaptors off"):
-        step_objective(model, images, views, masks, cfg, None, tokens)
+        step_objective(model, images, views, masks, None, tokens)
 
 
 def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
     """Gradients of one ``step_objective`` backward, by tensor name."""
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, (0, 1))
     named = named_tensors(model)
-    for name in frozen_names(model, cfg):
+    for name in frozen_names(model):
         named[name].requires_grad = frozen_requires_grad
     with Graph() as g:
-        total, _ = step_objective(model, images, views, masks, cfg, None)
+        total, _ = step_objective(model, images, views, masks, None)
         backward(g, total)
     return {name: t.grad for name, t in named.items()}
 
@@ -550,7 +550,7 @@ def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
 def test_frozen_weights_get_no_gradient(small_cfg, tiny_dataset, variant):
     cfg = small_cfg(variant=variant)
     model = init_model(cfg)
-    frozen, tunable = frozen_names(model, cfg), tunable_names(model, cfg)
+    frozen, tunable = frozen_names(model), tunable_names(model)
     grads = _step_gradients(cfg, tiny_dataset, False)
     assert [n for n in frozen if grads[n] is not None] == []
     # Differentiating the frozen weights too must not move a tunable bit.
@@ -566,9 +566,9 @@ def test_model_round_trips_through_checkpoint(small_cfg, tmp_path):
     result = train(cfg)
     path = str(tmp_path / "m.mcaf")
     save_result(result, path)
-    model, cfg_back, step = model_from_checkpoint(path)
+    model, step = model_from_checkpoint(path)
     assert step == result.step
-    assert cfg_back == cfg
+    assert model.cfg == cfg
     for name, t in named_tensors(model).items():
         np.testing.assert_array_equal(t.data, result.tensors[name], err_msg=name)
     # Optimizer state rides along in the same container.
@@ -580,7 +580,7 @@ def test_evaluate_produces_full_report(small_cfg, tiny_dataset):
     cfg = small_cfg(epochs=1)
     result = train(cfg)
     samples = load_split(tiny_dataset, "test")
-    report = evaluate(result.model, samples, cfg)
+    report = evaluate(result.model, samples)
     assert len(report.rows) == 3
     assert {r["image"] for r in report.rows} == {s.id for s in samples}
     assert 0.0 <= report.means["dice"] <= 1.0

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ContractError, ShapeError, TrainingAbortError
+from .metrics import block_counts
 from .tensor import (
     Tensor,
     add_const,
@@ -62,24 +63,6 @@ def init_decoder(d: int) -> DecoderWeights:
         w=Tensor(np.zeros((d, 1)), requires_grad=True),
         b=Tensor(np.zeros(1), requires_grad=True),
     )
-
-
-def block_counts(truth: np.ndarray, grid: Tuple[int, int]) -> np.ndarray:
-    """Foreground pixels per block: binary truth [..., H, W] -> int counts [..., gh, gw].
-
-    The blocks are square, f x f with f = H / gh = W / gw; any other shape
-    is a ContractError.
-    """
-    *lead, h, w = truth.shape
-    gh, gw = grid
-    f = h // gh if gh else 0
-    if f < 1 or (h, w) != (gh * f, gw * f):
-        raise ContractError(f"mask shapes disagree: truth {truth.shape} does not tile "
-                            f"the grid {tuple(grid)} in square blocks")
-    # Summing each block's f rows first adds whole image rows, which numpy
-    # vectorizes; one reduction over both block axes took about 2.5x longer.
-    rows = (truth == 1).reshape(*lead, gh, f, w).sum(axis=-2, dtype=np.int64)
-    return rows.reshape(*lead, gh, gw, f).sum(axis=-1)
 
 
 @dataclass

@@ -27,10 +27,10 @@ All randomness derives from the config seed through fixed-purpose
 SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
 step stream of an uninterrupted run.
 
-The mask head is scored on the token grid (``mca.objectives``): a patch
-probability stands for each pixel of its block, so the losses and the
-train dice read per-block foreground counts of the truth, and only
-``predict`` upsamples, for ``mca eval`` and ``mca dump-masks``.
+The mask head is scored on the token grid (``mca.objectives``,
+``mca.metrics``): a patch probability stands for each pixel of its block,
+so the losses, the train dice and ``evaluate`` read per-block foreground
+counts of the truth, and only ``predict`` upsamples, for ``mca dump-masks``.
 
 Reductions, in their fixed order: BCE is the mean over every pixel of the
 batch, computed as the mean over its patches weighted by their foreground
@@ -63,9 +63,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_text, config_to_text
 from .encoder import EncoderState, encoder_forward, init_encoder_state, tokenize
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbortError
-from .metrics import METRIC_NAMES, THRESHOLD, EvalPair, MetricReport, evaluate_dataset
-from .objectives import (DecoderWeights, MaskPair, bce_loss, block_counts, combine_losses,
-                         decode_mask, init_decoder, iou_loss)
+from .metrics import METRIC_NAMES, EvalPair, MetricReport, dice_iou, evaluate_dataset
+from .objectives import (DecoderWeights, MaskPair, bce_loss, combine_losses, decode_mask,
+                         init_decoder, iou_loss)
 from .synthdata import Sample, load_split
 from .tensor import Graph, Tensor, backward, get_default_dtype
 
@@ -267,9 +267,10 @@ def predict(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
 
     Eager (no tape).  Each patch probability is copied into its
     patch_size x patch_size block; the sigmoid commutes with that copy, so
-    the maps are bitwise the sigmoid of the upsampled logits.  The train
-    dice, ``evaluate`` and ``dump-masks`` all decode through here or
-    ``_decode_maps``, so they agree on thresholded masks.
+    the maps are bitwise the sigmoid of the upsampled logits.  Only
+    ``dump-masks`` upsamples; the train dice and ``evaluate`` score the
+    ``_decode_maps`` patch maps, whose blocks these are, so all three agree
+    on thresholded masks.
     """
     f = model.cfg.patch_size
     maps = _decode_maps(model, trunk_tokens(model, images))
@@ -413,26 +414,13 @@ def _train_set_dice(model: ModelState, samples: List[Sample],
                     trunk: Optional[np.ndarray] = None) -> float:
     """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens.
 
-    Counted on the patch grid: a patch at or above THRESHOLD marks its
-    whole block, so tp, fp and fn are integer sums of the blocks'
-    foreground counts, and each dice is bitwise ``metrics.dice_iou`` of
-    the upsampled map.
+    Scored on the patch grid by ``metrics.dice_iou``, as ``evaluate``
+    scores it: each dice is bitwise that of the upsampled map.
     """
     if trunk is None:
         trunk = trunk_tokens(model, [s.image for s in samples])
-    maps = _decode_maps(model, trunk)
-    area = model.cfg.patch_size ** 2
-    bad = np.count_nonzero(~np.isfinite(maps), axis=(-2, -1))
-    if bad.any():
-        raise ContractError(f"prediction map has {bad[bad > 0][0] * area} non-finite values")
-    fg = block_counts(np.stack([s.mask for s in samples]), maps.shape[-2:])
-    hit = maps >= THRESHOLD
-    tp = (fg * hit).sum(axis=(-2, -1))
-    fp = ((area - fg) * hit).sum(axis=(-2, -1))
-    fn = (fg * ~hit).sum(axis=(-2, -1))
-    union = tp + fp + fn
-    dice = np.where(union == 0, 1.0, 2.0 * tp / np.maximum(union + tp, 1))
-    return float(np.mean(dice))
+    pair = EvalPair(_decode_maps(model, trunk), np.stack([s.mask for s in samples]))
+    return float(np.mean(dice_iou(pair)[0]))
 
 
 # Config fields that name places, not the step stream: a resumed run may
@@ -462,7 +450,8 @@ def train(
     ``stop_after_steps`` suspends the session once that many global steps
     have completed, without shortening the learning-rate schedule; resuming
     the saved checkpoint under the same config reproduces the uninterrupted
-    run bitwise.
+    run's weights and optimizer state bitwise.  The log holds only the
+    epochs this session ran, each averaged over the steps it ran.
     """
     samples = load_split(cfg.data_root, "train")
     model = init_model(cfg)
@@ -556,11 +545,10 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
 
 
 def evaluate(model: ModelState, samples: List[Sample]) -> MetricReport:
-    """Inference scoring: no augmentation branch, no contrastive losses."""
-    maps = predict(model, [s.image for s in samples])
-    pairs = [EvalPair(np.clip(m.astype(np.float64), 0.0, 1.0), s.mask)
-             for m, s in zip(maps, samples)]
-    return evaluate_dataset(pairs, [s.id for s in samples])
+    """Inference scoring of the patch maps: no augmentation branch, no contrastive losses."""
+    maps = _decode_maps(model, trunk_tokens(model, [s.image for s in samples]))
+    pair = EvalPair(maps, np.stack([s.mask for s in samples]))
+    return evaluate_dataset(pair, [s.id for s in samples])
 
 
 def save_result(result: TrainResult, path: str) -> None:

@@ -13,7 +13,6 @@ per-run knob and both settings are exercised by the unit tests.
 """
 
 import math
-import os
 import time
 
 import numpy as np

@@ -1,4 +1,9 @@
-"""Metric suite vs. brute-force oracles, trivial identities, CSV format."""
+"""Metric suite vs. brute-force oracles, the patch grid vs. pixels, identities, CSV format."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,31 +191,39 @@ def test_evalpair_validation():
         EvalPair(np.zeros((2, 2)), np.full((2, 2), 0.5))
 
 
+def _stack(pairs):
+    return EvalPair(np.stack([p.prediction for p in pairs]),
+                    np.stack([p.ground_truth for p in pairs]))
+
+
 def test_evaluate_dataset_aggregation():
     rng = np.random.default_rng(9)
     pair = _random_pair(rng)
-    single = evaluate_dataset([pair], ["a"])
+    single = evaluate_dataset(_stack([pair]), ["a"])
     for m in METRIC_NAMES:
         assert single.means[m] == single.rows[0][m]
-    doubled = evaluate_dataset([pair, pair], ["a", "b"])
+    doubled = evaluate_dataset(_stack([pair, pair]), ["a", "b"])
     for m in METRIC_NAMES:
         assert abs(doubled.means[m] - single.means[m]) < 1e-12
     g = np.array([[1.0, 0.0], [1.0, 0.0]])
-    report = evaluate_dataset([EvalPair(g, g), EvalPair(1.0 - g, g)], ["a", "b"])
+    report = evaluate_dataset(_stack([EvalPair(g, g), EvalPair(1.0 - g, g)]), ["a", "b"])
     assert abs(report.means["dice"] - 0.5) < 1e-12
 
 
 def test_evaluate_dataset_validation():
     with pytest.raises(ContractError):
-        evaluate_dataset([], [])
+        evaluate_dataset(EvalPair(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))), [])
     rng = np.random.default_rng(10)
     with pytest.raises(ContractError):
-        evaluate_dataset([_random_pair(rng)], names=["a", "b"])
+        evaluate_dataset(_stack([_random_pair(rng)]), names=["a", "b"])
+    with pytest.raises(ContractError):
+        evaluate_dataset(_random_pair(rng), names=["a"])  # one map, not a stack
 
 
 def test_report_csv_text_at_6_decimals():
     rng = np.random.default_rng(11)
-    report = evaluate_dataset([_random_pair(rng) for _ in range(3)], names=["a", "b", "c"])
+    report = evaluate_dataset(_stack([_random_pair(rng) for _ in range(3)]),
+                              names=["a", "b", "c"])
     header, *lines, end = report_to_csv(report).split("\n")
     assert header == "image,mae,s_measure,e_measure,ber,dice,iou"
     assert end == ""  # one trailing newline, no blank rows
@@ -228,3 +241,133 @@ def test_non_finite_prediction_rejected(bad):
     g[0, 0] = 1.0
     with pytest.raises(ContractError, match="non-finite"):
         EvalPair(s, g)
+
+
+# ---------------------------------------------------------------------------
+# the patch grid: one map entry per f x f block of truth
+# ---------------------------------------------------------------------------
+
+GRID = 4
+
+
+def _grid_cases(f):
+    """Patch maps [N, 4, 4] of float32 values, as the mask head emits, and truth [N, 4f, 4f]."""
+    rng = np.random.default_rng(100 + f)
+    side = GRID * f
+    maps, truths = [], []
+
+    def add(m, t):
+        maps.append(np.asarray(m, dtype=np.float32).astype(np.float64))
+        truths.append(t.astype(np.uint8))
+
+    def square(r0, r1, c0, c1):
+        t = np.zeros((side, side), dtype=bool)
+        t[r0:r1, c0:c1] = True
+        return t
+
+    def rand():
+        return rng.random((GRID, GRID))
+
+    def noise(p=0.4):  # pixel truth: blocks hold any foreground count
+        return rng.random((side, side)) < p
+
+    add(np.full((GRID, GRID), 0.5), noise())  # the untrained head's uniform map
+    # Truth is block (0, 0), whose centroid (f - 1) / 2 rounds into it, so the
+    # top-left quadrant lies inside one block with uniform truth: S-region's
+    # 1.0 branch, where a prediction variance must come out exactly 0.
+    add(rand(), square(0, f, 0, f))
+    m = rand()
+    m[:2, :2] = 0.0  # sigmoid underflow: blocks of exactly 0.0
+    m[3, 1] = 0.0
+    add(m, noise())
+    add(rand(), np.zeros((side, side), dtype=bool))
+    add(rand(), np.ones((side, side), dtype=bool))
+    add(rand(), square(f, 3 * f, f, 3 * f))  # centroid 2f - 1/2 rounds to 2f, a block edge
+    add(rand(), square(1, 3 * f, 0, 2 * f + 1))  # centroid row off the block edges at f > 1
+    # Two block values and block-aligned truth: quadrants where several
+    # blocks hold one equal value.
+    blocks = rng.random((GRID, GRID)) < 0.5
+    blocks[0, 0], blocks[-1, -1] = True, False
+    add(np.where(rand() < 0.5, 0.25, 0.75), np.kron(blocks, np.ones((f, f), dtype=bool)))
+    add(rand(), noise(0.15))
+    return np.stack(maps), np.stack(truths)
+
+
+@pytest.mark.parametrize("f", [1, 2, 16])
+def test_grid_metrics_equal_pixel_metrics_of_upsampled_maps(f):
+    maps, truths = _grid_cases(f)
+    stack = EvalPair(maps, truths)
+    up = maps.repeat(f, axis=-2).repeat(f, axis=-1)
+    pixel = [EvalPair(u, t) for u, t in zip(up, truths)]
+    for metric in (mae, s_measure, e_measure):
+        np.testing.assert_allclose(metric(stack), [metric(p) for p in pixel], rtol=0, atol=1e-12)
+    dice, iou = dice_iou(stack)
+    assert list(zip(dice, iou)) == [dice_iou(p) for p in pixel]
+    # The brute-force definitions agree, exact-zero branches included.
+    for u, t, s, e in zip(up, truths.astype(np.float64), s_measure(stack), e_measure(stack)):
+        assert abs(s - oracle_s_measure(u, t)) < 1e-12
+        assert abs(e - oracle_e_measure(u, t)) < 1e-12
+
+    mixed = [k for k, t in enumerate(truths) if 0 < t.sum() < t.size]
+    names = [f"img{k}" for k in mixed]
+    np.testing.assert_allclose(ber(EvalPair(maps[mixed], truths[mixed])),
+                               [ber(pixel[k]) for k in mixed], rtol=0, atol=1e-12)
+    grid_csv = report_to_csv(evaluate_dataset(EvalPair(maps[mixed], truths[mixed]), names))
+    pixel_csv = report_to_csv(evaluate_dataset(EvalPair(up[mixed], truths[mixed]), names))
+    assert grid_csv == pixel_csv
+
+
+def test_constant_quadrant_variance_is_exactly_zero():
+    # 0.1 is no float32 value, so sums of its copies round: a two-pass
+    # variance over the upsampled top-left quadrant need not come out 0.
+    # That quadrant's prediction is constant and its truth uniform, so it
+    # scores 1 at every block size; the other three quadrants score 0.
+    truth = np.zeros((64, 64))
+    truth[:24, :24] = 1.0  # the centroid 11.5 rounds to 12, inside block (0, 0)
+    maps = np.full((4, 4), 0.1)
+    mu = 24 * 24 / (64 * 64)
+    s_object = mu * 0.2 / 1.01 + (1.0 - mu) * 1.8 / 1.81
+    want = 0.5 * s_object + 0.5 * (12 * 12) / (64 * 64)
+    for pair in (EvalPair(maps, truth), EvalPair(maps.repeat(16, 0).repeat(16, 1), truth)):
+        assert abs(s_measure(pair) - want) < 1e-12
+    # Against truth mixed in every quadrant, the covariance is exactly 0 too,
+    # so every quadrant takes the alpha_t = 0 branch and S_region is exactly 0.
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        noise = (rng.random((64, 64)) < 0.4).astype(np.uint8)
+        for pair in (EvalPair(maps, noise), EvalPair(maps.repeat(16, 0).repeat(16, 1), noise)):
+            assert s_measure(pair, alpha=0.0) == 0.0
+
+
+def test_grid_pair_errors():
+    truth = np.zeros((2, 8, 8))
+    truth[:, 0, 0] = 1.0
+    maps = np.full((2, 4, 4), 0.5)
+    maps[1, 2, 3] = np.nan  # one block of 2 x 2 pixels
+    with pytest.raises(ContractError, match="prediction map has 4 non-finite values"):
+        EvalPair(maps, truth)
+    bad = truth.copy()
+    bad[1, 5, 5] = 2.0
+    with pytest.raises(ContractError, match="binary"):
+        EvalPair(np.full((2, 4, 4), 0.5), bad)
+    for pred, gt in (((4, 4), (10, 10)),  # 4 blocks do not tile 10 pixels
+                     ((4, 4), (8, 12)),  # blocks would not be square
+                     ((2, 4, 4), (8, 8)),  # a stack over one mask
+                     ((2, 4, 4), (3, 8, 8))):
+        with pytest.raises(ContractError):
+            EvalPair(np.full(pred, 0.5), np.zeros(gt))
+
+
+def test_metrics_import_loads_no_scipy():
+    # The package itself loads scipy (mca.tensor -> mca.kernels); importing
+    # the metrics on top of it must add no scipy module and no other part
+    # of the package, since `mca.cli` imports them at start-up.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mca; before = set(sys.modules); import mca.metrics; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] in ('scipy', 'mca')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "['mca.metrics']"

@@ -1,7 +1,6 @@
 """Training loop: schedule, optimizer, determinism, resume, ablation harness."""
 
 import math
-import os
 
 import mca.encoder as encoder_mod
 import mca.trainer as trainer_mod
@@ -12,7 +11,6 @@ import pytest
 from _oracles import oracle_step_objective
 from mca.augment import parse_strategy, sample_view
 from mca.checkpoint import load_checkpoint, save_checkpoint
-from mca.config import TrainConfig
 from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
 from mca.kernels import sigmoid_forward

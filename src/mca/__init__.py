@@ -3,7 +3,9 @@
 A pure-NumPy research artifact: tape-based autodiff, a small frozen ViT
 encoder, token- and sample-level contrastive adaptors, synthetic
 camouflage/shadow data, and a deterministic AdamW training loop.  Hot
-elementwise kernels are vectorized numpy and scipy (see mca.kernels).
+elementwise kernels are vectorized numpy (see mca.kernels), GELU's erfc
+included: a numpy port of Cephes' erfc that gives scipy.special.erfc's
+bits, with libm's exp for float64 arrays and numpy's for float32.
 """
 
 from .config import TrainConfig, VARIANTS, load_config

@@ -123,7 +123,12 @@ def _wrap(x) -> Tensor:
 def _make(out_data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     """Create the op output, recording onto the active graph when needed."""
     g = _active_graph()
-    needs = g is not None and any(t.requires_grad for t in inputs)
+    needs = False
+    if g is not None:
+        for t in inputs:
+            if t.requires_grad:
+                needs = True
+                break
     out = Tensor(out_data, requires_grad=needs)
     # Tensor.__init__ casts; avoid a second copy by assigning directly.
     out.data = out_data

@@ -1,4 +1,8 @@
-"""Kernels: reference values, numerical edge cases, dtype."""
+"""Kernels: reference values, numerical edge cases, dtype.
+
+``scipy.special.erfc`` is the oracle of ``K.erfc``, the numpy port of Cephes
+``erfc``: every comparison is bit for bit.
+"""
 
 import math
 
@@ -47,6 +51,78 @@ def test_gelu_backward_from_saved_cdf_equals_recomputed_formula(dtype):
     assert out.dtype == cdf.dtype == got.dtype == dtype
     np.testing.assert_array_equal(got, g * (0.5 * erfc + x * pdf))
     np.testing.assert_array_equal(out, x * 0.5 * erfc)
+
+
+# Where scipy's erfc first reaches 0 (positive z) and 2 (negative z, by
+# magnitude).  In float64 the positive point is the first z with
+# z * z > MAXLOG, from where Cephes returns 0.
+_SATURATION = {np.float32: (10.054195404052734, 3.8325068950653076),
+               np.float64: (26.64174755704633, 5.863584748755168)}
+_SQRT_MAXLOG = math.sqrt(7.09782712893383996843e2)
+
+
+def _assert_erfc_bits(z):
+    want = special.erfc(z)
+    # Nothing the port does on these inputs may overflow, divide by zero or
+    # make an invalid operation, so a step can run under these settings.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = K.erfc(z)
+    assert got.dtype == want.dtype == z.dtype and got.shape == z.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    uint = np.uint32 if z.dtype == np.float32 else np.uint64
+    bad = got[~nan].view(uint) != want[~nan].view(uint)
+    assert not bad.any(), f"{bad.sum()} of {bad.size} differ, first at z = {z[~nan][bad][:5]}"
+
+
+def _float32_run(first, last):
+    """Every float32 from ``first`` to ``last``, both of one sign, by magnitude."""
+    lo, hi = np.array([first, last], np.float32).view(np.uint32)
+    return np.arange(lo, hi + 1, dtype=np.uint32).view(np.float32)
+
+
+def test_erfc_every_float32_of_the_exp_band_matches_scipy():
+    # 1 <= |z| up to the saturation points: the only branch whose bits rest
+    # on the platform's exp (numpy's, in float32).  About 43 M values.
+    pos, neg = _SATURATION[np.float32]
+    chunk = 1 << 20
+    for z in (_float32_run(1.0, pos), _float32_run(-1.0, -neg)):
+        for lo in range(0, z.size, chunk):
+            _assert_erfc_bits(z[lo:lo + chunk])
+
+
+def test_erfc_strided_float32_bit_patterns_match_scipy():
+    bits = np.arange(0, 1 << 32, 4099, dtype=np.uint64).astype(np.uint32)
+    z = bits.view(np.float32)
+    # A signalling NaN raises "invalid" when it is widened, as IEEE 754 says;
+    # no arithmetic makes one, so only quiet NaNs stay in the sweep.
+    signalling = np.isnan(z) & (bits & 0x00400000 == 0)
+    _assert_erfc_bits(z[~signalling])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erfc_branch_edges_and_specials_match_scipy(dtype):
+    pos, neg = _SATURATION[dtype]
+    assert special.erfc(dtype(pos)) == 0.0 < special.erfc(np.nextafter(dtype(pos), dtype(0)))
+    assert special.erfc(dtype(-neg)) == 2.0 > special.erfc(np.nextafter(dtype(-neg), dtype(0)))
+    # Cephes switches branch at 1, 8 and sqrt(MAXLOG); the port clips |z| at
+    # 10.06 (float32) and 27 (float64).
+    edges = np.array([1.0, 8.0, _SQRT_MAXLOG, pos, neg, 10.06, 27.0], dtype)
+    near = np.concatenate([np.nextafter(edges, dtype(0)), edges, np.nextafter(edges, dtype(np.inf))])
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, tiny, np.inf, np.finfo(dtype).max], dtype)
+    z = np.concatenate([near, -near, specials, -specials, [np.nan]]).astype(dtype)
+    _assert_erfc_bits(z)
+
+
+def test_erfc_seeded_float64_sample_matches_scipy():
+    rng = np.random.default_rng(11)
+    wide = np.exp(rng.uniform(-700.0, 700.0, 20_000)) * rng.choice([-1.0, 1.0], 20_000)
+    z = np.concatenate([rng.normal(0.0, 3.0, 200_000), rng.uniform(-30.0, 30.0, 50_000), wide])
+    _assert_erfc_bits(z)
+    block = z[197_000:203_000].reshape(2, 3, 1000)
+    _assert_erfc_bits(block)
+    _assert_erfc_bits(block.astype(np.float32))
 
 
 def test_sigmoid_extremes_are_stable():

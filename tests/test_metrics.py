@@ -1,6 +1,5 @@
 """Metric suite vs. brute-force oracles, the patch grid vs. pixels, identities, CSV format."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -358,16 +357,16 @@ def test_grid_pair_errors():
             EvalPair(np.full(pred, 0.5), np.zeros(gt))
 
 
-def test_metrics_import_loads_no_scipy():
-    # The package itself loads scipy (mca.tensor -> mca.kernels); importing
-    # the metrics on top of it must add no scipy module and no other part
-    # of the package, since `mca.cli` imports them at start-up.
+def test_imports_load_no_scipy():
+    # Nothing under src/mca imports scipy (the tests keep it as the erfc
+    # oracle), so no command pays for it at start-up.  In a fresh interpreter
+    # with src first on the path, importing the metrics on top of the package
+    # adds only that module, and importing the whole CLI loads no scipy module.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, mca; before = set(sys.modules); import mca.metrics; "
-            "print(sorted(m for m in set(sys.modules) - before "
-            "if m.split('.')[0] in ('scipy', 'mca')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "['mca.metrics']"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mca; "
+            "before = set(sys.modules); import mca.metrics; "
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'mca')); "
+            "import mca.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split("\n")[:2] == ["['mca.metrics']", "[]"]

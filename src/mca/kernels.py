@@ -109,15 +109,17 @@ def _erfc_tail(x, float32):
 def erfc(z):
     """scipy.special.erfc(z), bit for bit, for a float32 or float64 array z."""
     z = np.asarray(z)
-    a = np.asarray(z, dtype=np.float64)
+    # Flat, so that a 0-d z also gives arrays, which the in-place steps need.
+    a = np.asarray(z, dtype=np.float64).reshape(-1)
     if not a.size or (a.max() < 1.0 and a.min() > -1.0):
-        return _one_minus_erf(a).astype(z.dtype, copy=False)
-    float32 = z.dtype == np.float32
-    ax = np.abs(a)
-    tail = _erfc_tail(np.clip(ax, 1.0, _CLIP_F32 if float32 else _CLIP_F64), float32)
-    tail = np.where(a < 0.0, 2.0 - tail, tail)
-    y = np.where(ax >= 1.0, tail, _one_minus_erf(np.clip(a, -1.0, 1.0)))
-    return y.astype(z.dtype, copy=False)
+        y = _one_minus_erf(a)
+    else:
+        float32 = z.dtype == np.float32
+        ax = np.abs(a)
+        tail = _erfc_tail(np.clip(ax, 1.0, _CLIP_F32 if float32 else _CLIP_F64), float32)
+        tail = np.where(a < 0.0, 2.0 - tail, tail)
+        y = np.where(ax >= 1.0, tail, _one_minus_erf(np.clip(a, -1.0, 1.0)))
+    return y.astype(z.dtype, copy=False).reshape(z.shape)
 
 
 def gelu_forward_cdf(x):

@@ -113,6 +113,8 @@ def test_erfc_branch_edges_and_specials_match_scipy(dtype):
     specials = np.array([0.0, tiny, np.inf, np.finfo(dtype).max], dtype)
     z = np.concatenate([near, -near, specials, -specials, [np.nan]]).astype(dtype)
     _assert_erfc_bits(z)
+    for v in (0.5, -2.5, 12.0):  # 0-d, one value per branch
+        _assert_erfc_bits(np.asarray(v, dtype))
 
 
 def test_erfc_seeded_float64_sample_matches_scipy():
@@ -174,4 +176,5 @@ def test_dtype_preserved():
     for dt in (np.float32, np.float64):
         x = np.ones(5, dtype=dt)
         assert K.gelu_forward_cdf(x)[0].dtype == dt
+        assert K.gelu_forward_cdf(np.asarray(-1.5, dt))[0].dtype == dt
         assert K.sigmoid_forward(x).dtype == dt

@@ -6,6 +6,10 @@ then the op's parameters from the fixed ranges JITTER_RANGE and
 SHIFT_FRACTION.  The ops themselves are pure functions of their required
 parameters.  Masks are never augmented: views feed only the sample-level
 contrastive branch.  Every op returns the input shape, clamped to [0, 1].
+
+A view's bits depend on its input's memory layout, not only its values:
+``color_jitter``'s mean sums in memory order.  The trainer passes each
+image exactly as ``load_ppm`` returned it (channel-last in memory).
 """
 
 from __future__ import annotations

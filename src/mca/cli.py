@@ -117,13 +117,13 @@ def _cmd_dump_masks(args: argparse.Namespace) -> int:
     if not 0.0 <= args.threshold <= 1.0:  # also false for NaN
         raise ConfigError(f"--threshold must lie in [0, 1], got {args.threshold}")
     model, _step = model_from_checkpoint(args.checkpoint)
-    samples = load_split(args.data, args.split)
+    split = load_split(args.data, args.split)
     os.makedirs(args.out, exist_ok=True)
-    maps = predict(model, [s.image for s in samples])
-    for s, m in zip(samples, maps):
+    maps = predict(model, split.images)
+    for sid, m in zip(split.ids, maps):
         binary = (m >= args.threshold).astype(np.uint8)
-        save_pgm(os.path.join(args.out, f"{s.id}.pgm"), binary)
-    print(f"wrote {len(samples)} masks to {args.out}")
+        save_pgm(os.path.join(args.out, f"{sid}.pgm"), binary)
+    print(f"wrote {len(split)} masks to {args.out}")
     return 0
 
 

@@ -184,12 +184,10 @@ def tokenize(image: np.ndarray, cfg: EncoderConfig, state: EncoderState) -> Tens
     return tokens + state.position_embedding
 
 
-def layer_forward(x: Tensor, layer: LayerWeights,
-                  return_attn: bool = False):
+def layer_forward(x: Tensor, layer: LayerWeights) -> Tensor:
     """Pre-norm multi-head attention + MLP with residuals: [..., K, d] -> [..., K, d].
 
-    Leading axes are independent images; ``return_attn`` also returns the
-    attention weights [..., heads, K, K].
+    Leading axes are independent images.
     """
     *lead, k_tokens, d = x.shape
     heads = layer.num_heads
@@ -210,10 +208,7 @@ def layer_forward(x: Tensor, layer: LayerWeights,
     x1 = x + (matmul(merged, layer.w_o) + layer.b_o)
     h2 = layer_norm(x1, layer.ln2_g, layer.ln2_b)
     mlp = matmul(gelu(matmul(h2, layer.w_mlp1) + layer.b_mlp1), layer.w_mlp2) + layer.b_mlp2
-    out = x1 + mlp
-    if return_attn:
-        return out, attn
-    return out
+    return x1 + mlp
 
 
 def encoder_forward(

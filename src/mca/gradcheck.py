@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -34,7 +35,7 @@ from .adaptors import (
 from .config import TrainConfig
 from .encoder import EncoderConfig, init_encoder_state, init_layer, layer_forward
 from .errors import ContractError
-from .objectives import DecoderWeights, MaskPair, bce_loss, decode_mask, iou_loss
+from .objectives import DecoderWeights, bce_loss, decode_mask, iou_loss, mask_fraction
 from .tensor import (
     Graph,
     Tensor,
@@ -237,11 +238,9 @@ def _check_bce(rng) -> List[float]:
     # Patch grid: each of the 3 x 3 predictions covers a 2 x 2 block of truth.
     pred_p = Tensor(rng.uniform(0.05, 0.95, size=(2, 3, 3)), requires_grad=True)
     gt_p = (rng.random((2, 6, 6)) > 0.5).astype(np.float64)
-    return [
-        finite_diff_check(lambda v: bce_loss(MaskPair(v, gt)), pred),
-        finite_diff_check(lambda v: bce_loss(MaskPair(v, gt_b)), pred_b),
-        finite_diff_check(lambda v: bce_loss(MaskPair(v, gt_p)), pred_p),
-    ]
+    # Each truth is reduced once, outside the finite-difference closures.
+    return [finite_diff_check(partial(bce_loss, fraction=mask_fraction(g, p.shape[-2:])), p)
+            for p, g in ((pred, gt), (pred_b, gt_b), (pred_p, gt_p))]
 
 
 def _check_iou(rng) -> List[float]:
@@ -254,11 +253,9 @@ def _check_iou(rng) -> List[float]:
     # Patch grid: each of the 3 x 3 predictions covers a 2 x 2 block of truth.
     pred_p = Tensor(rng.uniform(0.05, 0.95, size=(2, 3, 3)), requires_grad=True)
     gt_p = (rng.random((2, 6, 6)) > 0.4).astype(np.float64)
-    return [
-        finite_diff_check(lambda v: iou_loss(MaskPair(v, gt)), pred),
-        finite_diff_check(lambda v: iou_loss(MaskPair(v, gt_b)), pred_b),
-        finite_diff_check(lambda v: iou_loss(MaskPair(v, gt_p)), pred_p),
-    ]
+    # Each truth is reduced once, outside the finite-difference closures.
+    return [finite_diff_check(partial(iou_loss, fraction=mask_fraction(g, p.shape[-2:])), p)
+            for p, g in ((pred, gt), (pred_b, gt_b), (pred_p, gt_p))]
 
 
 def _check_layer_forward(rng) -> List[float]:
@@ -312,9 +309,10 @@ def _check_total_loss(rng, deep: bool) -> List[float]:
     images = np.stack([rng.random((3, size, size)) for _ in range(2)])
     views = np.stack([rng.random((3, size, size)) for _ in range(2)])
     masks = np.stack([(rng.random((size, size)) > 0.5).astype(np.float64) for _ in range(2)])
+    fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
 
     def objective(_v):
-        total, _terms = step_objective(model, images, views, masks, None)
+        total, _terms = step_objective(model, images, views, fraction, None)
         return total
 
     targets = [

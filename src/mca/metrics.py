@@ -51,8 +51,8 @@ CSV_HEADER = ("image",) + METRIC_NAMES
 def block_counts(truth: np.ndarray, grid: Tuple[int, int]) -> np.ndarray:
     """Foreground pixels per block: binary truth [..., H, W] -> int counts [..., gh, gw].
 
-    The blocks are square, f x f with f = H / gh = W / gw; any other shape
-    is a ContractError.
+    The blocks are square, f x f with f = H / gh = W / gw; any other shape,
+    or truth with a value other than 0 and 1, is a ContractError.
     """
     *lead, h, w = truth.shape
     gh, gw = grid
@@ -63,7 +63,11 @@ def block_counts(truth: np.ndarray, grid: Tuple[int, int]) -> np.ndarray:
     # Summing each block's f rows first adds whole image rows, which numpy
     # vectorizes; one reduction over both block axes took about 2.5x longer.
     rows = (truth == 1).reshape(*lead, gh, f, w).sum(axis=-2, dtype=np.int64)
-    return rows.reshape(*lead, gh, gw, f).sum(axis=-1)
+    counts = rows.reshape(*lead, gh, gw, f).sum(axis=-1)
+    # Binary exactly when every nonzero value is a 1 that the counts hold.
+    if np.count_nonzero(truth) != counts.sum():
+        raise ContractError("ground truth must be binary {0, 1}")
+    return counts
 
 
 @dataclass
@@ -97,9 +101,6 @@ class EvalPair:
             raise ContractError(f"prediction map has {bad[bad > 0][0] * area} non-finite values")
         if np.any((pred < 0) | (pred > 1)):
             raise ContractError("prediction map must lie in [0, 1]")
-        # Binary exactly when every nonzero value is a 1 that the counts hold.
-        if np.count_nonzero(g) != self.counts.sum():
-            raise ContractError("ground truth must be binary {0, 1}")
 
 
 def _grid(pair: EvalPair):

@@ -8,7 +8,10 @@ are sums over pixels, need only the count n of foreground pixels per block:
 the pixel BCE is -mean(n log m + (f^2 - n) log(1 - m)) / f^2, and the soft
 IoU sums m * n, f^2 * m and n.  These are the per-pixel losses of the
 nearest-neighbor upsampled map, exactly; only the float summation order
-differs.  The training objective is
+differs.  ``mask_fraction`` reduces truth to n / f^2 once, and both losses
+take the patch map with that fraction; the trainer reduces the whole train
+split once per session, since its masks never change.  The training
+objective is
 w_bce * BCE + w_iou * soft-IoU + w_clt * CL_t + w_cls * CL_s with all default
 weights 1.
 """
@@ -16,8 +19,8 @@ weights 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .tensor import (
     add_const,
     clamp,
     div,
+    get_default_dtype,
     log,
     matmul,
     mean_all,
@@ -65,39 +69,14 @@ def init_decoder(d: int) -> DecoderWeights:
     )
 
 
-@dataclass
-class MaskPair:
-    """Patch probabilities in [0, 1] and the binary ground truth they cover.
+def mask_fraction(truth: np.ndarray, grid: Tuple[int, int]) -> np.ndarray:
+    """Binary truth [..., H, W] -> foreground fraction n / f^2 per block [..., gh, gw].
 
-    One map or a batch: prediction [..., g, g], truth [..., H, W] with H
-    and W whole multiples f * g of the grid, so each prediction entry
-    covers an f x f block of truth (f = 1 pairs pixel with pixel).  The
-    truth is reduced once to its integer foreground count n per block,
-    kept as the fraction n / f^2 in the prediction's float width (the
-    truth itself at f = 1).  A non-finite prediction aborts training.
+    Each block is the f x f square of truth that one patch probability
+    covers (``metrics.block_counts``); the fraction has the session width.
     """
-
-    prediction: Tensor       # [..., g, g]
-    ground_truth: np.ndarray  # [..., H, W], values in {0, 1}
-    fraction: np.ndarray = field(init=False)  # [..., g, g] n / f^2
-
-    def __post_init__(self):
-        if not isinstance(self.prediction, Tensor):
-            self.prediction = Tensor(np.asarray(self.prediction))
-        self.ground_truth = np.asarray(self.ground_truth)
-        pred, gt = self.prediction, self.ground_truth
-        if pred.ndim < 2 or pred.shape[:-2] != gt.shape[:-2]:
-            raise ContractError(f"mask shapes disagree: {pred.shape} vs {gt.shape}")
-        if not np.all((gt == 0) | (gt == 1)):
-            raise ContractError("ground truth mask must be binary {0, 1}")
-        counts = block_counts(gt, pred.shape[-2:])
-        self.fraction = (counts / (gt.shape[-1] // pred.shape[-1]) ** 2).astype(pred.data.dtype)
-        bad = int(np.count_nonzero(~np.isfinite(pred.data)))
-        if bad:
-            raise TrainingAbortError(
-                f"mask prediction has {bad} non-finite values "
-                f"of {pred.data.size}"
-            )
+    counts = block_counts(truth, grid)
+    return (counts / (truth.shape[-1] // grid[-1]) ** 2).astype(get_default_dtype())
 
 
 def decode_mask(xn: Tensor, w: DecoderWeights) -> Tensor:
@@ -111,20 +90,22 @@ def decode_mask(xn: Tensor, w: DecoderWeights) -> Tensor:
     return sigmoid(reshape((matmul(xn, w.w) + w.b) * LOGIT_GAIN, (*lead, grid, grid)))
 
 
-def bce_loss(pair: MaskPair) -> Tensor:
+def bce_loss(m: Tensor, fraction: np.ndarray) -> Tensor:
     """Mean pixel binary cross-entropy, the prediction clamped away from {0, 1}.
 
+    ``m`` is the patch map [..., g, g] and ``fraction`` its ``mask_fraction``.
     With p = n / f^2 per block this is -mean(p log m + (1 - p) log(1 - m))
     over the blocks, the mean over every pixel.  Over a batch of
     equal-sized maps it is the mean of the per-map losses.
     """
-    m = clamp(pair.prediction, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    p = pair.fraction
-    term = mul(p, log(m)) + mul(1.0 - p, log(sub(1.0, m)))
+    if m.shape != fraction.shape:
+        raise ContractError(f"mask shapes disagree: {m.shape} vs {fraction.shape}")
+    m = clamp(m, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    term = mul(fraction, log(m)) + mul(1.0 - fraction, log(sub(1.0, m)))
     return neg(mean_all(term))
 
 
-def iou_loss(pair: MaskPair) -> Tensor:
+def iou_loss(m: Tensor, fraction: np.ndarray) -> Tensor:
     """Pixel soft IoU loss 1 - sum(m*g) / (sum(m) + sum(g) - sum(m*g)), per map.
 
     On the grid the sums are inter = sum(m n), pred_sum = f^2 sum(m) and
@@ -134,13 +115,14 @@ def iou_loss(pair: MaskPair) -> Tensor:
     (all exactly 0) scores 0 by convention, with a zero gradient: its ratio
     is taken as 0/1 instead of 0/0, and its 1 is dropped.
     """
-    pred = pair.prediction
-    lead, cells = pred.shape[:-2], pred.shape[-2] * pred.shape[-1]
-    p = pair.fraction.reshape(*lead, cells)
-    m = reshape(pred, (*lead, cells))
+    if m.shape != fraction.shape:
+        raise ContractError(f"mask shapes disagree: {m.shape} vs {fraction.shape}")
+    lead, cells = m.shape[:-2], m.shape[-2] * m.shape[-1]
+    p = fraction.reshape(*lead, cells)
+    m = reshape(m, (*lead, cells))
     gt_sum = p.sum(axis=-1)
     pred_sum = sum_axis(m, -1)
-    empty = ((gt_sum == 0.0) & (pred_sum.data == 0.0)).astype(pred.data.dtype)
+    empty = ((gt_sum == 0.0) & (pred_sum.data == 0.0)).astype(pred_sum.data.dtype)
     inter = sum_axis(mul(m, p), -1)
     union = sub(pred_sum + gt_sum, inter)
     ratio = div(inter, add_const(union, empty))

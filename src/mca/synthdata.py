@@ -1,6 +1,7 @@
 """Synthetic camouflage-style and shadow-style scene generation.
 
-Every sample is a pure function of (SceneSpec, integer seed).  Backgrounds
+Every (image, mask) is a pure function of (SceneSpec, integer seed); a
+``Split`` holds a split's images, stacked masks and ids.  Backgrounds
 are value noise summed over OCTAVES octaves from BASE_FREQUENCY (each octave
 doubles the frequency and scales the amplitude by NOISE_AMPLITUDE);
 foregrounds are unions of BLOB_COUNT_RANGE wobbly blobs whose radii are
@@ -56,10 +57,15 @@ class SceneSpec:
 
 
 @dataclass
-class Sample:
-    image: np.ndarray   # [3, H, W] float32 in [0, 1]
-    mask: np.ndarray    # [H, W] uint8 {0, 1}
-    id: str
+class Split:
+    """A split in manifest order: its images as loaded and its stacked masks."""
+
+    images: List[np.ndarray]  # [3, H, W] float32 in [0, 1], one array per id
+    masks: np.ndarray         # [N, H, W] uint8 {0, 1}
+    ids: List[str]
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def _bilinear_lattice(lattice: np.ndarray, size: int) -> np.ndarray:
@@ -146,17 +152,15 @@ def _sample_rng(seed: int, attempt: int) -> np.random.Generator:
     )
 
 
-def generate_sample(spec: SceneSpec, seed: int, sample_id: str = "") -> Sample:
-    """Deterministic sample; regenerates degenerate masks on derived seeds."""
+def generate_sample(spec: SceneSpec, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic (image, mask); regenerates degenerate masks on derived seeds."""
     lo, hi = OCCUPANCY_RANGE
     for attempt in range(MAX_ATTEMPTS):
         rng = _sample_rng(seed, attempt)
         mask = _blob_mask(rng, spec)
         occupancy = mask.mean()
         if lo <= occupancy <= hi:
-            image = _render(rng, mask, spec)
-            return Sample(image=image, mask=mask.astype(np.uint8),
-                          id=sample_id or f"sample_{seed}")
+            return _render(rng, mask, spec), mask.astype(np.uint8)
     raise ContractError(
         f"mask occupancy outside [{lo}, {hi}] after {MAX_ATTEMPTS} attempts (seed {seed})"
     )
@@ -169,21 +173,16 @@ def _derived_seed(master_seed: int, split_index: int, i: int) -> int:
     return (int(words[0]) << 32) | int(words[1])
 
 
-def generate_split(
-    spec: SceneSpec, n_train: int, n_test: int, seed: int
-) -> Tuple[List[Sample], List[Sample]]:
+def generate_split(spec: SceneSpec, n_train: int, n_test: int, seed: int) -> Tuple[Split, Split]:
     """Disjoint seed streams for train and test; unique ids."""
     if n_train < 1 or n_test < 1:
         raise ContractError("split counts must be >= 1")
-    train = [
-        generate_sample(spec, _derived_seed(seed, 0, i), f"train_{i:04d}")
-        for i in range(n_train)
-    ]
-    test = [
-        generate_sample(spec, _derived_seed(seed, 1, i), f"test_{i:04d}")
-        for i in range(n_test)
-    ]
-    return train, test
+    splits = []
+    for index, (name, n) in enumerate((("train", n_train), ("test", n_test))):
+        images, masks = zip(*(generate_sample(spec, _derived_seed(seed, index, i))
+                              for i in range(n)))
+        splits.append(Split(list(images), np.stack(masks), [f"{name}_{i:04d}" for i in range(n)]))
+    return splits[0], splits[1]
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +190,24 @@ def generate_split(
 # plus a per-split manifest.txt with one id per line
 # ---------------------------------------------------------------------------
 
-def write_split(root: str, split: str, samples: List[Sample]) -> None:
-    base = os.path.join(root, split)
+def write_split(root: str, name: str, split: Split) -> None:
+    base = os.path.join(root, name)
     os.makedirs(os.path.join(base, "images"), exist_ok=True)
     os.makedirs(os.path.join(base, "masks"), exist_ok=True)
-    for s in samples:
-        save_ppm(os.path.join(base, "images", f"{s.id}.ppm"), s.image)
-        save_pgm(os.path.join(base, "masks", f"{s.id}.pgm"), s.mask)
+    for sid, image, mask in zip(split.ids, split.images, split.masks):
+        save_ppm(os.path.join(base, "images", f"{sid}.ppm"), image)
+        save_pgm(os.path.join(base, "masks", f"{sid}.pgm"), mask)
     with open(os.path.join(base, "manifest.txt"), "w", encoding="ascii") as f:
-        f.writelines(s.id + "\n" for s in samples)
+        f.writelines(sid + "\n" for sid in split.ids)
 
 
-def write_dataset(root: str, train: List[Sample], test: List[Sample]) -> None:
+def write_dataset(root: str, train: Split, test: Split) -> None:
     write_split(root, "train", train)
     write_split(root, "test", test)
 
 
-def load_split(root: str, split: str) -> List[Sample]:
-    """Load samples in manifest order."""
+def load_split(root: str, split: str) -> Split:
+    """Load a split in manifest order; every image and mask must share one size."""
     base = os.path.join(root, split)
     manifest = os.path.join(base, "manifest.txt")
     if not os.path.exists(manifest):
@@ -220,9 +219,15 @@ def load_split(root: str, split: str) -> List[Sample]:
         raise DataParseError(f"manifest is not ASCII text: {manifest}") from exc
     if not ids:
         raise DataParseError(f"empty manifest: {manifest}")
-    samples = []
+    images, masks = [], []
     for sid in ids:
         image = load_ppm(os.path.join(base, "images", f"{sid}.ppm"))
         mask = load_mask(os.path.join(base, "masks", f"{sid}.pgm"))
-        samples.append(Sample(image=image, mask=mask, id=sid))
-    return samples
+        shape = images[0].shape if images else image.shape
+        for kind, got, want in (("image", image.shape, shape), ("mask", mask.shape, shape[1:])):
+            if got != want:
+                raise DataParseError(f"{split} {kind} {sid!r} is {got}, "
+                                     f"not {want} like image {ids[0]!r}")
+        images.append(image)
+        masks.append(mask)
+    return Split(images, np.stack(masks), ids)

@@ -23,6 +23,11 @@ after any resume load), and every step and every train dice decodes that
 cache instead of running the encoder again.  The cache is in manifest
 order, and a step takes the rows of its shuffled batch.
 
+The train masks never change within a session either: ``train`` reduces
+them once, next to the trunk cache, to per-block fractions
+(``mask_fraction``), and a step takes its batch's rows.  Images stay one
+array each, as ``load_ppm`` returned them (``mca.augment`` says why).
+
 All randomness derives from the config seed through fixed-purpose
 SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
 step stream of an uninterrupted run.
@@ -64,9 +69,9 @@ from .config import TrainConfig, config_from_text, config_to_text
 from .encoder import EncoderState, encoder_forward, init_encoder_state, tokenize
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbortError
 from .metrics import METRIC_NAMES, EvalPair, MetricReport, dice_iou, evaluate_dataset
-from .objectives import (DecoderWeights, MaskPair, bce_loss, combine_losses, decode_mask,
-                         init_decoder, iou_loss)
-from .synthdata import Sample, load_split
+from .objectives import (DecoderWeights, bce_loss, combine_losses, decode_mask, init_decoder,
+                         iou_loss, mask_fraction)
+from .synthdata import Split, load_split
 from .tensor import Graph, Tensor, backward, get_default_dtype
 
 ADAM_BETAS = (0.9, 0.999)
@@ -286,14 +291,15 @@ def step_objective(
     model: ModelState,
     images: np.ndarray,
     views: Optional[np.ndarray],
-    masks: np.ndarray,
+    fraction: np.ndarray,
     pair_rng: Optional[np.random.Generator],
     tokens: Optional[np.ndarray] = None,
 ) -> Tuple[Tensor, Dict[str, object]]:
     """The training objective of one batch, as one batched tape.
 
     ``images`` and ``views`` (the augmented views, used only with the
-    sample-level loss) are [B, C, H, W]; ``masks`` is [B, H, W].  With a
+    sample-level loss) are [B, C, H, W]; ``fraction`` is the masks'
+    ``mask_fraction`` [B, g, g].  A non-finite mask prediction aborts.  With a
     binding ``token_pair_limit``, ``pair_rng`` draws the kept negatives in
     the order image, then layer, then anchor.  ``tokens``, the images'
     final trunk tokens [B, K, d] from ``trunk_tokens``, replaces the encoder
@@ -315,9 +321,12 @@ def step_objective(
         raise ContractError(f"cached trunk tokens need adaptors off, variant is {cfg.variant!r}")
     else:
         final = Tensor(tokens)
-    pair = MaskPair(decode_mask(final, model.decoder), masks)
+    m = decode_mask(final, model.decoder)
+    bad = int(np.count_nonzero(~np.isfinite(m.data)))
+    if bad:
+        raise TrainingAbortError(f"mask prediction has {bad} non-finite values of {m.data.size}")
     terms: Dict[str, object] = {
-        "bce": bce_loss(pair), "iou_loss": iou_loss(pair), "cl_t": 0.0, "cl_s": 0.0,
+        "bce": bce_loss(m, fraction), "iou_loss": iou_loss(m, fraction), "cl_t": 0.0, "cl_s": 0.0,
     }
 
     if cfg.use_token_loss and cfg.adaptors_enabled:
@@ -360,7 +369,8 @@ def step_objective(
 
 def _train_step(
     model: ModelState,
-    batch: List[Sample],
+    images: Sequence[np.ndarray],
+    fraction: np.ndarray,
     lr: float,
     opt: Dict[str, AdamState],
     epoch: int,
@@ -369,15 +379,13 @@ def _train_step(
     tokens: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
     cfg = model.cfg
-    images = np.stack([s.image for s in batch])
-    masks = np.stack([s.mask for s in batch])
     views = None
     if cfg.use_sample_loss:
         strategy = parse_strategy(cfg.strategy)
         views = np.stack([
-            sample_view(s.image, strategy, derive_rng(
+            sample_view(image, strategy, derive_rng(
                 cfg.seed, _PURPOSE_AUGMENT, epoch, step_in_epoch * cfg.batch_size + pos))
-            for pos, s in enumerate(batch)
+            for pos, image in enumerate(images)
         ])
     pair_rng = (
         derive_rng(cfg.seed, _PURPOSE_PAIR_SUBSAMPLE, global_step)
@@ -387,7 +395,8 @@ def _train_step(
 
     try:
         with Graph() as g:
-            total, terms = step_objective(model, images, views, masks, pair_rng, tokens)
+            total, terms = step_objective(model, np.stack(images), views, fraction, pair_rng,
+                                          tokens)
             backward(g, total)
     except (TrainingAbortError, DegenerateInputError) as exc:
         # A zero-norm embedding or token row in a contrastive term, or a
@@ -410,7 +419,7 @@ def _train_step(
     return out
 
 
-def _train_set_dice(model: ModelState, samples: List[Sample],
+def _train_set_dice(model: ModelState, split: Split,
                     trunk: Optional[np.ndarray] = None) -> float:
     """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens.
 
@@ -418,8 +427,8 @@ def _train_set_dice(model: ModelState, samples: List[Sample],
     scores it: each dice is bitwise that of the upsampled map.
     """
     if trunk is None:
-        trunk = trunk_tokens(model, [s.image for s in samples])
-    pair = EvalPair(_decode_maps(model, trunk), np.stack([s.mask for s in samples]))
+        trunk = trunk_tokens(model, split.images)
+    pair = EvalPair(_decode_maps(model, trunk), split.masks)
     return float(np.mean(dice_iou(pair)[0]))
 
 
@@ -453,7 +462,7 @@ def train(
     run's weights and optimizer state bitwise.  The log holds only the
     epochs this session ran, each averaged over the steps it ran.
     """
-    samples = load_split(cfg.data_root, "train")
+    split = load_split(cfg.data_root, "train")
     model = init_model(cfg)
     named = named_tensors(model)
     opt = {name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
@@ -477,7 +486,7 @@ def train(
                 raise ConfigError(f"checkpoint optimizer step {state.t} of tensor {name!r} "
                                   f"differs from its step counter {start_step}")
 
-    steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
+    steps_per_epoch = math.ceil(len(split) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     if start_step > total_steps:
         raise ConfigError(
@@ -487,14 +496,15 @@ def train(
     start_epoch = start_step // steps_per_epoch if steps_per_epoch else 0
     start_offset = start_step % steps_per_epoch if steps_per_epoch else 0
     # Built after any resume load, which sets the frozen weights it depends on.
-    trunk = None if cfg.adaptors_enabled else trunk_tokens(model, [s.image for s in samples])
+    trunk = None if cfg.adaptors_enabled else trunk_tokens(model, split.images)
+    fraction = mask_fraction(split.masks, (cfg.grid, cfg.grid))
 
     log: List[Dict[str, float]] = []
     suspended = False
     for epoch in range(start_epoch, cfg.epochs):
         if suspended:
             break
-        order = derive_rng(cfg.seed, _PURPOSE_SHUFFLE, epoch).permutation(len(samples))
+        order = derive_rng(cfg.seed, _PURPOSE_SHUFFLE, epoch).permutation(len(split))
         sums = {k: 0.0 for k in ("bce", "iou_loss", "cl_t", "cl_s", "total")}
         n_steps = 0
         epoch_lr = None
@@ -505,12 +515,11 @@ def train(
                 suspended = True
                 break
             idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            batch = [samples[i] for i in idxs]
             lr = cosine_lr(global_step, total_steps, cfg.lr_start, cfg.lr_end)
             if epoch_lr is None:
                 epoch_lr = lr
-            terms = _train_step(model, batch, lr, opt, epoch, b, global_step,
-                                None if trunk is None else trunk[idxs])
+            terms = _train_step(model, [split.images[i] for i in idxs], fraction[idxs], lr, opt,
+                                epoch, b, global_step, None if trunk is None else trunk[idxs])
             global_step += 1
             n_steps += 1
             for k in sums:
@@ -520,7 +529,7 @@ def train(
         row = {"epoch": float(epoch), "lr": float(epoch_lr if epoch_lr is not None else 0.0)}
         for k in sums:
             row[k] = sums[k] / n_steps
-        row["train_dice"] = _train_set_dice(model, samples, trunk)
+        row["train_dice"] = _train_set_dice(model, split, trunk)
         log.append(row)
 
     return TrainResult(
@@ -544,11 +553,10 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(model: ModelState, samples: List[Sample]) -> MetricReport:
+def evaluate(model: ModelState, split: Split) -> MetricReport:
     """Inference scoring of the patch maps: no augmentation branch, no contrastive losses."""
-    maps = _decode_maps(model, trunk_tokens(model, [s.image for s in samples]))
-    pair = EvalPair(maps, np.stack([s.mask for s in samples]))
-    return evaluate_dataset(pair, [s.id for s in samples])
+    maps = _decode_maps(model, trunk_tokens(model, split.images))
+    return evaluate_dataset(EvalPair(maps, split.masks), split.ids)
 
 
 def save_result(result: TrainResult, path: str) -> None:
@@ -581,14 +589,14 @@ def run_ablation(
         raise ContractError("need at least one ablation value")
     axis = "variant" if variants is not None else "strategy"
 
-    test_samples = load_split(base_cfg.data_root, "test")
+    test_split = load_split(base_cfg.data_root, "test")
     rows: List[Dict[str, object]] = []
     for value in values:
         per_seed: List[Dict[str, float]] = []
         for seed in seeds:
             cfg = replace(base_cfg, seed=seed, **{axis: value})
             result = train(cfg)
-            report = evaluate(result.model, test_samples)
+            report = evaluate(result.model, test_split)
             per_seed.append(report.means)
         row: Dict[str, object] = {"name": value, "seeds": len(seeds)}
         for metric in METRIC_NAMES:

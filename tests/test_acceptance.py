@@ -93,8 +93,8 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
     # (zero up-projection) adaptors must be bitwise the frozen forward.
     cfg = small_cfg(variant="mca", epochs=0)
     model = init_model(cfg)
-    sample = load_split(tiny_dataset, "test")[0]
-    x0 = tokenize(sample.image, model.cfg, model.encoder)
+    image = load_split(tiny_dataset, "test").images[0]
+    x0 = tokenize(image, model.cfg, model.encoder)
     xs_on, _ = encoder_forward(x0, model.encoder, adaptors_enabled=True)
     xs_off, _ = encoder_forward(x0, model.encoder, adaptors_enabled=False)
     forward_equal = all(
@@ -104,7 +104,7 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
     # Forward path at the default toy geometry as well.
     cfg_full = TrainConfig(variant="mca")
     model_full = init_model(cfg_full)
-    img = generate_sample(SceneSpec(kind="camouflage"), 99).image
+    img, _ = generate_sample(SceneSpec(kind="camouflage"), 99)
     x0f = tokenize(img, model_full.cfg, model_full.encoder)
     on, _ = encoder_forward(x0f, model_full.encoder, adaptors_enabled=True)
     off, _ = encoder_forward(x0f, model_full.encoder, adaptors_enabled=False)
@@ -112,9 +112,9 @@ def test_criterion_2_zero_adaptor_equivalence(small_cfg, tiny_dataset):
 
     # Evaluation path: an untrained adaptor model scores identically to the
     # decoder_only variant, down to the serialized metric report.
-    samples = load_split(tiny_dataset, "test")
-    report_mca = evaluate(init_model(small_cfg(variant="mca")), samples)
-    report_dec = evaluate(init_model(small_cfg(variant="decoder_only")), samples)
+    split = load_split(tiny_dataset, "test")
+    report_mca = evaluate(init_model(small_cfg(variant="mca")), split)
+    report_dec = evaluate(init_model(small_cfg(variant="decoder_only")), split)
     eval_equal = report_to_csv(report_mca) == report_to_csv(report_dec)
 
     _record(

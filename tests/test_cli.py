@@ -13,7 +13,7 @@ from mca import cli, errors
 from mca.checkpoint import load_checkpoint
 from mca.cli import CONFIG_NAME, LOG_NAME, main
 from mca.config import TrainConfig
-from mca.netpbm import load_mask
+from mca.netpbm import load_mask, save_pgm, save_ppm
 from mca.trainer import init_model, named_tensors
 
 SMALL_SETS = [
@@ -289,6 +289,27 @@ def test_undecodable_bytes_exit_1_naming_the_file(cli_workspace, tmp_path, capsy
     assert bad in err
     if case == "checkpoint":
         assert "byte offset 14" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_of_mixed_sizes_exits_1_with_one_line(cli_workspace, tmp_path, capsys, command):
+    # One train image, or one test mask, of another size than the rest.
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace["data"], data)
+    if command == "train":
+        bad = "train_0002"
+        save_ppm(str(data / "train" / "images" / f"{bad}.ppm"), np.zeros((3, 48, 48), np.float32))
+        argv = ["train", *SMALL_SETS, "--set", f"data_root={data}",
+                "--set", f"out_dir={tmp_path / 'run'}", "--set", "epochs=1"]
+    else:
+        bad = "test_0001"
+        save_pgm(str(data / "test" / "masks" / f"{bad}.pgm"), np.zeros((40, 40), np.uint8))
+        argv = ["eval", "--checkpoint", os.path.join(cli_workspace["out"], "checkpoint.mcaf"),
+                "--data", str(data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
 
 
 def test_cli_import_leaves_trainer_and_gradcheck_unloaded():

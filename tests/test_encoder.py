@@ -107,16 +107,6 @@ def test_init_is_seed_deterministic():
     assert np.any(a.patch_projection.data != c.patch_projection.data)
 
 
-def test_layer_forward_attention_rows_sum_to_one(rng):
-    state = _state()
-    x = Tensor(rng.normal(size=(4, 16)))
-    out, attn = layer_forward(x, state.layers[0], return_attn=True)
-    assert out.shape == (4, 16)
-    assert attn.shape == (2, 4, 4)  # [heads, K, K]
-    np.testing.assert_allclose(attn.data.sum(axis=-1), np.ones((2, 4)), atol=1e-6)
-    assert np.all(attn.data >= 0.0)
-
-
 def test_forward_zero_adaptors_bitwise_equals_disabled(rng):
     # Token adaptors start with zero up-projection, so the adapted forward is
     # bit-for-bit the frozen forward until training moves them.

@@ -9,22 +9,27 @@ from mca.errors import ContractError, ShapeError, TrainingAbortError
 from mca.objectives import (
     LOGIT_GAIN,
     DecoderWeights,
-    MaskPair,
     bce_loss,
     combine_losses,
     decode_mask,
     init_decoder,
     iou_loss,
+    mask_fraction,
 )
 from mca.synthdata import load_split
 from mca.tensor import Graph, Tensor, backward
-from mca.trainer import init_model, predict
+from mca.trainer import init_model, predict, step_objective
+
+
+def _loss(loss_fn, pred, truth):
+    """The loss of a prediction against truth, reduced on the prediction's grid."""
+    return loss_fn(pred, mask_fraction(truth, pred.shape[-2:]))
 
 
 def test_bce_known_value(f64):
     m = Tensor(np.array([[0.9, 0.1], [0.8, 0.2]]))
     g = np.array([[1.0, 0.0], [1.0, 0.0]])
-    val = float(bce_loss(MaskPair(m, g)).data)
+    val = float(_loss(bce_loss, m, g).data)
     assert abs(val - 0.164252) < 1e-5
 
 
@@ -32,28 +37,28 @@ def test_bce_uniform_half_is_log_two(f64):
     m = Tensor(np.full((4, 4), 0.5))
     g = np.zeros((4, 4))
     g[:2] = 1.0
-    assert abs(float(bce_loss(MaskPair(m, g)).data) - math.log(2.0)) < 1e-9
+    assert abs(float(_loss(bce_loss, m, g).data) - math.log(2.0)) < 1e-9
 
 
 def test_bce_perfect_prediction_is_clamp_bounded(f64):
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
-    val = float(bce_loss(MaskPair(Tensor(g.copy()), g)).data)
+    val = float(_loss(bce_loss, Tensor(g.copy()), g).data)
     assert val <= 1e-6 * abs(math.log(1e-7))
 
 
 def test_iou_known_values(f64):
     g_half = np.array([[1.0, 1.0], [0.0, 0.0]])
     m = Tensor(np.full((2, 2), 0.5))
-    assert abs(float(iou_loss(MaskPair(m, g_half)).data) - 0.666667) < 1e-6
+    assert abs(float(_loss(iou_loss, m, g_half).data) - 0.666667) < 1e-6
     # Disjoint supports.
     g = np.array([[1.0, 0.0], [0.0, 0.0]])
     s = Tensor(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert float(iou_loss(MaskPair(s, g)).data) == 1.0
+    assert float(_loss(iou_loss, s, g).data) == 1.0
     # Exact binary match.
-    assert float(iou_loss(MaskPair(Tensor(g.copy()), g)).data) == 0.0
+    assert float(_loss(iou_loss, Tensor(g.copy()), g).data) == 0.0
     # Both empty.
     z = np.zeros((2, 2))
-    assert float(iou_loss(MaskPair(Tensor(z.copy()), z)).data) == 0.0
+    assert float(_loss(iou_loss, Tensor(z.copy()), z).data) == 0.0
 
 
 def test_iou_monotone_in_overlap(f64):
@@ -62,7 +67,7 @@ def test_iou_monotone_in_overlap(f64):
     prev = None
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         m = np.where(g == 1.0, p, 0.0)
-        val = float(iou_loss(MaskPair(Tensor(m), g)).data)
+        val = float(_loss(iou_loss, Tensor(m), g).data)
         if prev is not None:
             assert val < prev
         prev = val
@@ -73,11 +78,9 @@ def test_iou_symmetric_under_joint_permutation(f64):
     m = rng.random((4, 4))
     g = (rng.random((4, 4)) > 0.5).astype(np.float64)
     perm = rng.permutation(16)
-    a = float(iou_loss(MaskPair(Tensor(m), g)).data)
+    a = float(_loss(iou_loss, Tensor(m), g).data)
     b = float(
-        iou_loss(
-            MaskPair(Tensor(m.ravel()[perm].reshape(4, 4)), g.ravel()[perm].reshape(4, 4))
-        ).data
+        _loss(iou_loss, Tensor(m.ravel()[perm].reshape(4, 4)), g.ravel()[perm].reshape(4, 4)).data
     )
     assert abs(a - b) < 1e-12
 
@@ -117,7 +120,7 @@ def test_decode_mask_upsampling_is_nearest(small_cfg, tiny_dataset):
     model = init_model(cfg)
     model.decoder.w.data = np.random.default_rng(2).normal(
         0.0, 1e-3, model.decoder.w.data.shape).astype(model.decoder.w.data.dtype)
-    images = [s.image for s in load_split(tiny_dataset, "train")]
+    images = load_split(tiny_dataset, "train").images
     maps = predict(model, images)
     g, f = cfg.image_size // cfg.patch_size, cfg.patch_size
     blocks = maps.reshape(len(images), g, f, g, f)
@@ -135,11 +138,12 @@ def test_decode_mask_shape_errors(f64):
 
 def test_mask_pair_validation():
     with pytest.raises(ContractError):
-        MaskPair(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
-    with pytest.raises(ContractError):
-        MaskPair(Tensor(np.zeros((2, 2))), np.full((2, 2), 0.5))
-    pair = MaskPair(np.full((2, 2), 0.25), np.ones((2, 2)))
-    assert isinstance(pair.prediction, Tensor)  # ndarray gets wrapped
+        mask_fraction(np.zeros((2, 3)), (2, 2))
+    with pytest.raises(ContractError, match="binary"):
+        mask_fraction(np.full((2, 2), 0.5), (2, 2))
+    for loss_fn in (bce_loss, iou_loss):
+        # An ndarray prediction gets wrapped.
+        assert isinstance(_loss(loss_fn, np.full((2, 2), 0.25), np.ones((2, 2))), Tensor)
 
 
 @pytest.mark.parametrize("pred_shape, truth_shape", [
@@ -150,8 +154,11 @@ def test_mask_pair_validation():
     ((2, 2, 2), (3, 4, 4)),  # batch sizes differ
 ])
 def test_mask_pair_rejects_truth_not_tiling_the_prediction(pred_shape, truth_shape):
-    with pytest.raises(ContractError, match="mask shapes disagree"):
-        MaskPair(Tensor(np.full(pred_shape, 0.5)), np.zeros(truth_shape))
+    # mask_fraction rejects truth that does not tile the grid, and each loss
+    # a fraction whose batch differs from the prediction's.
+    for loss_fn in (bce_loss, iou_loss):
+        with pytest.raises(ContractError, match="mask shapes disagree"):
+            _loss(loss_fn, Tensor(np.full(pred_shape, 0.5)), np.zeros(truth_shape))
 
 
 @pytest.mark.parametrize("f", [2, 4])
@@ -167,11 +174,11 @@ def test_patch_grid_loss_is_the_pixel_loss_of_the_upsampled_map(f64, f, loss_fn)
     for name, pred in (("patch", patch), ("pixels", pixels)):
         t = Tensor(pred, requires_grad=True)
         with Graph() as g:
-            loss = loss_fn(MaskPair(t, gt))
+            loss = _loss(loss_fn, t, gt)
             backward(g, loss)
         grids[name] = (float(loss.data), t.grad)
     block_mean = gt.reshape(3, 2, f, 2, f).mean(axis=(-3, -1))
-    np.testing.assert_array_equal(MaskPair(Tensor(patch), gt).fraction, block_mean)
+    np.testing.assert_array_equal(mask_fraction(gt, patch.shape[-2:]), block_mean)
     assert grids["patch"][0] == pytest.approx(grids["pixels"][0], rel=1e-12, abs=1e-15)
     block_grad = grids["pixels"][1].reshape(3, 2, f, 2, f).sum(axis=(-3, -1))
     np.testing.assert_allclose(grids["patch"][1], block_grad, rtol=1e-12, atol=1e-15)
@@ -192,8 +199,9 @@ def test_total_loss_zero_weights_zero_value_and_gradient(f64):
     g = np.array([[1.0, 0.0], [1.0, 0.0]])
     with Graph() as graph:
         pred = Tensor(np.full((2, 2), 0.3), requires_grad=True)
-        pair = MaskPair(pred, g)
-        loss = combine_losses(bce_loss(pair), iou_loss(pair), 0.7, 0.9, (0, 0, 0, 0))
+        fraction = mask_fraction(g, (2, 2))
+        loss = combine_losses(bce_loss(pred, fraction), iou_loss(pred, fraction), 0.7, 0.9,
+                              (0, 0, 0, 0))
         assert float(loss.data) == 0.0
         backward(graph, loss)
     np.testing.assert_array_equal(pred.grad, np.zeros((2, 2)))
@@ -202,18 +210,24 @@ def test_total_loss_zero_weights_zero_value_and_gradient(f64):
 def test_total_loss_matches_manual_combination(f64):
     g = np.array([[1.0, 0.0], [1.0, 0.0]])
     pred = Tensor(np.array([[0.9, 0.1], [0.8, 0.2]]))
-    pair = MaskPair(pred, g)
+    fraction = mask_fraction(g, (2, 2))
     w = (1.0, 1.0, 1.0, 1.0)
-    total = float(combine_losses(bce_loss(pair), iou_loss(pair), 0.25, 0.5, w).data)
-    manual = float(bce_loss(pair).data) + float(iou_loss(pair).data) + 0.25 + 0.5
+    total = float(combine_losses(bce_loss(pred, fraction), iou_loss(pred, fraction),
+                                 0.25, 0.5, w).data)
+    manual = (float(bce_loss(pred, fraction).data) + float(iou_loss(pred, fraction).data)
+              + 0.25 + 0.5)
     assert abs(total - manual) < 1e-12
 
 
-def test_non_finite_prediction_rejected():
-    pred = np.full((4, 4), 0.5)
-    pred[1, 2], pred[3, 0] = np.nan, np.inf
+def test_non_finite_prediction_rejected(small_cfg):
+    # The objective checks the decoded map.  Under the zero-init head every
+    # token decodes to 0.5, and a token holding NaN decodes to NaN.
+    model = init_model(small_cfg(variant="decoder_only", patch_size=8))  # a 4 x 4 grid
+    tokens = np.zeros((1, 16, model.cfg.embed_dim))
+    tokens[0, 1 * 4 + 2, 0] = tokens[0, 3 * 4 + 0, 0] = np.nan
+    fraction = mask_fraction(np.zeros((1, 32, 32)), (4, 4))
     with pytest.raises(TrainingAbortError, match="2 non-finite"):
-        MaskPair(Tensor(pred), np.zeros((4, 4)))
+        step_objective(model, np.zeros((1, 3, 32, 32)), None, fraction, None, tokens)
 
 
 def test_iou_of_batch_is_mean_of_per_map_losses(f64):
@@ -223,9 +237,9 @@ def test_iou_of_batch_is_mean_of_per_map_losses(f64):
     gt[1] = 0.0   # empty truth, nonzero prediction: loss 1
     pred[2] = 0.0
     gt[2] = 0.0   # both empty: loss 0 by convention
-    per_map = [float(iou_loss(MaskPair(Tensor(pred[b]), gt[b])).data) for b in range(4)]
+    per_map = [float(_loss(iou_loss, Tensor(pred[b]), gt[b]).data) for b in range(4)]
     assert per_map[1] == 1.0 and per_map[2] == 0.0
-    batched = float(iou_loss(MaskPair(Tensor(pred), gt)).data)
+    batched = float(_loss(iou_loss, Tensor(pred), gt).data)
     assert batched == pytest.approx(np.mean(per_map), rel=1e-12, abs=0.0)
 
 
@@ -234,7 +248,7 @@ def test_iou_both_empty_map_has_zero_gradient(f64):
     gt = np.zeros((2, 3, 3))
     gt[0, 1, 1] = 1.0
     with Graph() as g:
-        loss = iou_loss(MaskPair(pred, gt))
+        loss = _loss(iou_loss, pred, gt)
         backward(g, loss)
     assert float(loss.data) == 0.5  # map 0 scores 1, map 1 (both empty) 0
     assert np.all(np.isfinite(pred.grad))

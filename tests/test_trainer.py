@@ -15,7 +15,7 @@ from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
 from mca.kernels import sigmoid_forward
 from mca.metrics import EvalPair, dice_iou
-from mca.objectives import LOGIT_GAIN, decode_mask
+from mca.objectives import LOGIT_GAIN, decode_mask, mask_fraction
 from mca.synthdata import load_split
 from mca.tensor import Graph, Tensor, backward
 from mca.trainer import (
@@ -48,6 +48,13 @@ from mca.trainer import (
 OBJECTIVE_RTOL = 1e-10
 # Batched and per-image float32 forwards differ at most in summation order.
 PREDICT_ATOL = 1e-6
+
+
+def _batch(cfg, tiny_dataset):
+    """The first batch of the train split: its images and their mask fraction."""
+    split = load_split(tiny_dataset, "train")
+    masks = split.masks[:cfg.batch_size]
+    return split.images[:cfg.batch_size], mask_fraction(masks, (cfg.grid, cfg.grid))
 
 
 def _fresh_opt(model):
@@ -368,9 +375,9 @@ def test_zero_sample_embedding_aborts_with_step_label(small_cfg, tiny_dataset):
         pair.sample.w_up.data[...] = 0.0
         pair.sample.b_up.data[...] = 0.0
     opt = _fresh_opt(model)
-    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
+    images, fraction = _batch(cfg, tiny_dataset)
     with pytest.raises(TrainingAbortError, match=r"^step 3: .*zero-norm"):
-        _train_step(model, batch, cfg.lr_start, opt, epoch=1, step_in_epoch=1,
+        _train_step(model, images, fraction, cfg.lr_start, opt, epoch=1, step_in_epoch=1,
                     global_step=3)
 
 
@@ -378,10 +385,10 @@ def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="decoder_only")
     model = init_model(cfg)
     model.decoder.w.data[0, 0] = np.nan
-    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
+    images, fraction = _batch(cfg, tiny_dataset)
     with pytest.raises(TrainingAbortError,
                        match=r"^step 5: mask prediction has \d+ non-finite values"):
-        _train_step(model, batch, cfg.lr_start, _fresh_opt(model), epoch=2,
+        _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=2,
                     step_in_epoch=1, global_step=5)
 
 
@@ -393,13 +400,12 @@ def _objective_inputs(cfg, tiny_dataset, live_layers):
         token = model.encoder.adaptors[i].token
         token.w_up.data = rng.normal(0.0, 0.1, token.w_up.data.shape)
     model.decoder.w.data = rng.normal(0.0, 1e-3, model.decoder.w.data.shape)
-    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
-    images = np.stack([s.image for s in batch])
+    split = load_split(tiny_dataset, "train")
+    batch = split.images[:cfg.batch_size]
     strategy = parse_strategy(cfg.strategy)
-    views = np.stack([sample_view(s.image, strategy, derive_rng(cfg.seed, 2, 0, b))
-                      for b, s in enumerate(batch)])
-    masks = np.stack([s.mask for s in batch])
-    return model, images, views, masks
+    views = np.stack([sample_view(image, strategy, derive_rng(cfg.seed, 2, 0, b))
+                      for b, image in enumerate(batch)])
+    return model, np.stack(batch), views, split.masks[:cfg.batch_size]
 
 
 @pytest.mark.parametrize("variant, limit, live_layers", [
@@ -412,7 +418,8 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
                                                variant, limit, live_layers):
     cfg = small_cfg(variant=variant, token_pair_limit=limit)
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, live_layers)
-    total, terms = step_objective(model, images, views, masks, derive_rng(cfg.seed, 3, 0))
+    fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
+    total, terms = step_objective(model, images, views, fraction, derive_rng(cfg.seed, 3, 0))
     got = {k: (t.item() if isinstance(t, Tensor) else t) for k, t in terms.items()}
     got["total"] = total.item()
     want = oracle_step_objective(model, images, views, masks, cfg, derive_rng(cfg.seed, 3, 0))
@@ -426,7 +433,7 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
 def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="mca", batch_size=3)
     model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
-    images = [s.image for s in load_split(tiny_dataset, "train")]
+    images = load_split(tiny_dataset, "train").images
     maps = predict(model, images)  # 8 images: chunks of 3, 3 and 2
     assert maps.shape == (8, 32, 32)
     for image, got in zip(images, maps):
@@ -445,7 +452,7 @@ def test_predict_is_the_sigmoid_of_upsampled_logits(small_cfg, tiny_dataset):
     model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
     for t in named_tensors(model).values():
         t.data = t.data.astype(np.float32)  # the training width, as a checkpoint holds it
-    images = [s.image for s in load_split(tiny_dataset, "train")]
+    images = load_split(tiny_dataset, "train").images
     chunk, f, g = cfg.batch_size, cfg.patch_size, cfg.image_size // cfg.patch_size
     maps = predict(model, images)
     tokens = trainer_mod.trunk_tokens(model, images)
@@ -459,11 +466,11 @@ def test_predict_is_the_sigmoid_of_upsampled_logits(small_cfg, tiny_dataset):
 def test_train_set_dice_equals_dice_iou_of_upsampled_maps(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="mca", epochs=3)
     model = train(cfg).model
-    samples = load_split(tiny_dataset, "train")
-    maps = predict(model, [s.image for s in samples])
-    scores = [dice_iou(EvalPair(m, s.mask))[0] for m, s in zip(maps, samples)]
+    split = load_split(tiny_dataset, "train")
+    maps = predict(model, split.images)
+    scores = [dice_iou(EvalPair(m, mask))[0] for m, mask in zip(maps, split.masks)]
     assert len(set(scores)) > 2  # a partly trained head: the dice differ by image
-    assert _train_set_dice(model, samples) == float(np.mean(scores))
+    assert _train_set_dice(model, split) == float(np.mean(scores))
 
 
 def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatch):
@@ -474,8 +481,8 @@ def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatc
     forward, calls = encoder_mod.layer_forward, []
     monkeypatch.setattr(encoder_mod, "layer_forward",
                         lambda *args: calls.append(None) or forward(*args))
-    batch = load_split(tiny_dataset, "train")[:cfg.batch_size]
-    _train_step(model, batch, cfg.lr_start, _fresh_opt(model), epoch=0,
+    images, fraction = _batch(cfg, tiny_dataset)
+    _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=0,
                 step_in_epoch=0, global_step=0)
     assert len(calls) == 2 * cfg.num_layers - 1
 
@@ -524,12 +531,23 @@ def test_trunk_cache_matches_recomputed_trunk(small_cfg, tmp_path, monkeypatch, 
     assert cached[-1].step == 6
 
 
+def test_train_reduces_the_masks_once_per_session(small_cfg, monkeypatch):
+    # The train masks never change within a session: one reduction of the
+    # whole stacked split serves every step of both epochs.
+    calls, reduce = [], trainer_mod.mask_fraction
+    monkeypatch.setattr(trainer_mod, "mask_fraction",
+                        lambda *args: calls.append(args[0].shape) or reduce(*args))
+    train(small_cfg(variant="mca", epochs=2))
+    assert calls == [(8, 32, 32)]
+
+
 def test_cached_tokens_refused_with_adaptors(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="adaptor_plain")
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, ())
     tokens = trainer_mod.trunk_tokens(model, list(images))
+    fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
     with pytest.raises(ContractError, match="adaptors off"):
-        step_objective(model, images, views, masks, None, tokens)
+        step_objective(model, images, views, fraction, None, tokens)
 
 
 def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
@@ -538,8 +556,9 @@ def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
     named = named_tensors(model)
     for name in frozen_names(model):
         named[name].requires_grad = frozen_requires_grad
+    fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
     with Graph() as g:
-        total, _ = step_objective(model, images, views, masks, None)
+        total, _ = step_objective(model, images, views, fraction, None)
         backward(g, total)
     return {name: t.grad for name, t in named.items()}
 
@@ -577,10 +596,10 @@ def test_model_round_trips_through_checkpoint(small_cfg, tmp_path):
 def test_evaluate_produces_full_report(small_cfg, tiny_dataset):
     cfg = small_cfg(epochs=1)
     result = train(cfg)
-    samples = load_split(tiny_dataset, "test")
-    report = evaluate(result.model, samples)
+    split = load_split(tiny_dataset, "test")
+    report = evaluate(result.model, split)
     assert len(report.rows) == 3
-    assert {r["image"] for r in report.rows} == {s.id for s in samples}
+    assert {r["image"] for r in report.rows} == set(split.ids)
     assert 0.0 <= report.means["dice"] <= 1.0
     assert 0.0 <= report.means["mae"] <= 1.0
 

@@ -65,6 +65,14 @@ class TrainConfig(EncoderConfig):
         if not self.temperature > 0:
             raise ConfigError("temperature must be positive")
         parse_strategy(self.strategy)  # validates the op set
+        # config_to_text must read back: '#' starts a comment, a line break
+        # ends the line, and each value is stripped.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and ("#" in value or len(value.splitlines()) > 1
+                                           or value != value.strip()):
+                raise ConfigError(f"{f.name} = {value!r} would not read back from config.txt: "
+                                  "no '#', line break or whitespace at either end")
 
     @property
     def adaptors_enabled(self) -> bool:

@@ -10,6 +10,10 @@ adaptor inputs, masks are decoded from the final layer, the objective is
 combined and backpropagated, and AdamW updates the adaptor and decoder
 weights only.  Frozen encoder tensors are never updated.
 
+``train`` is one loop over the session's global steps.  Each ``_train_step``
+returns its step's record (step, epoch, lr and the loss terms), and the log
+is ``log_rows`` of the records and of each epoch's train dice.
+
 A ``ModelState`` carries the ``TrainConfig`` that built it, and every
 function here reads the variant, the losses and the batch size from
 ``model.cfg``: no config travels beside a model, so the two cannot
@@ -52,6 +56,8 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,6 +91,7 @@ _PURPOSE_AUGMENT = 2
 _PURPOSE_PAIR_SUBSAMPLE = 3
 
 LOG_FIELDS = ("epoch", "lr", "bce", "iou_loss", "cl_t", "cl_s", "total", "train_dice")
+_TERMS = ("bce", "iou_loss", "cl_t", "cl_s", "total")
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -202,6 +209,7 @@ def frozen_names(model: ModelState) -> List[str]:
 class TrainResult:
     model: ModelState
     log: List[Dict[str, float]]
+    records: List[Dict[str, float]]  # one per step this session ran, from ``_train_step``
     tensors: "OrderedDict[str, np.ndarray]"  # checkpoint payload
     config_text: str
     step: int
@@ -238,11 +246,6 @@ def checkpoint_payload(model: ModelState, opt: Dict[str, AdamState]) -> "Ordered
         tensors[f"opt.{name}.v"] = state.v.copy()
         tensors[f"opt.{name}.t"] = np.asarray(float(state.t), dtype=np.float32)
     return tensors
-
-
-def _clear_grads(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def trunk_tokens(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
@@ -398,25 +401,40 @@ def _train_step(
             total, terms = step_objective(model, np.stack(images), views, fraction, pair_rng,
                                           tokens)
             backward(g, total)
+        named = named_tensors(model)
+        for name, state in opt.items():
+            tensor = named[name]
+            grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+            adamw_step(tensor, grad, state, lr, name=name)
     except (TrainingAbortError, DegenerateInputError) as exc:
         # A zero-norm embedding or token row in a contrastive term, or a
-        # non-finite prediction or loss, is a training failure; label it
-        # with the step.
+        # non-finite prediction, loss or gradient, is a training failure;
+        # label it with the step.
         raise TrainingAbortError(f"step {global_step}: {exc}") from exc
+    for tensor in named.values():
+        tensor.grad = None
 
-    named = named_tensors(model)
-    for name, state in opt.items():
-        tensor = named[name]
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        try:
-            adamw_step(tensor, grad, state, lr, name=name)
-        except TrainingAbortError as exc:
-            raise TrainingAbortError(f"step {global_step}: {exc}") from exc
-    _clear_grads(list(named.values()))
+    record = {"step": float(global_step), "epoch": float(epoch), "lr": lr}
+    record.update((k, t.item() if isinstance(t, Tensor) else 0.0) for k, t in terms.items())
+    record["total"] = total.item()
+    return record
 
-    out = {k: (t.item() if isinstance(t, Tensor) else 0.0) for k, t in terms.items()}
-    out["total"] = total.item()
-    return out
+
+def log_rows(records: Sequence[Dict[str, float]],
+             dice: Sequence[float]) -> List[Dict[str, float]]:
+    """One log row per epoch of ``records`` (in step order); ``dice[i]`` is the i-th epoch's.
+
+    A row's lr is that of its epoch's first record, and each term is the sum
+    of the epoch's records, added in step order from 0.0, over their count.
+    """
+    epochs: Dict[float, List[Dict[str, float]]] = {}
+    for record in records:
+        epochs.setdefault(record["epoch"], []).append(record)
+    # reduce, not sum: the builtin sum compensates its rounding from Python 3.12.
+    return [{"epoch": epoch, "lr": group[0]["lr"],
+             **{k: reduce(add, (r[k] for r in group), 0.0) / len(group) for k in _TERMS},
+             "train_dice": train_dice}
+            for (epoch, group), train_dice in zip(epochs.items(), dice, strict=True)]
 
 
 def _train_set_dice(model: ModelState, split: Split,
@@ -459,8 +477,9 @@ def train(
     ``stop_after_steps`` suspends the session once that many global steps
     have completed, without shortening the learning-rate schedule; resuming
     the saved checkpoint under the same config reproduces the uninterrupted
-    run's weights and optimizer state bitwise.  The log holds only the
-    epochs this session ran, each averaged over the steps it ran.
+    run's weights and optimizer state bitwise.  ``records`` holds one record
+    per step this session ran, and the log is their ``log_rows``: it covers
+    only the epochs this session ran, each averaged over the steps it ran.
     """
     split = load_split(cfg.data_root, "train")
     model = init_model(cfg)
@@ -492,52 +511,31 @@ def train(
         raise ConfigError(
             f"checkpoint step {start_step} exceeds configured schedule {total_steps}"
         )
-    global_step = start_step
-    start_epoch = start_step // steps_per_epoch if steps_per_epoch else 0
-    start_offset = start_step % steps_per_epoch if steps_per_epoch else 0
     # Built after any resume load, which sets the frozen weights it depends on.
     trunk = None if cfg.adaptors_enabled else trunk_tokens(model, split.images)
     fraction = mask_fraction(split.masks, (cfg.grid, cfg.grid))
 
-    log: List[Dict[str, float]] = []
-    suspended = False
-    for epoch in range(start_epoch, cfg.epochs):
-        if suspended:
-            break
-        order = derive_rng(cfg.seed, _PURPOSE_SHUFFLE, epoch).permutation(len(split))
-        sums = {k: 0.0 for k in ("bce", "iou_loss", "cl_t", "cl_s", "total")}
-        n_steps = 0
-        epoch_lr = None
-        for b in range(steps_per_epoch):
-            if epoch == start_epoch and b < start_offset:
-                continue
-            if stop_after_steps is not None and global_step >= stop_after_steps:
-                suspended = True
-                break
-            idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            lr = cosine_lr(global_step, total_steps, cfg.lr_start, cfg.lr_end)
-            if epoch_lr is None:
-                epoch_lr = lr
-            terms = _train_step(model, [split.images[i] for i in idxs], fraction[idxs], lr, opt,
-                                epoch, b, global_step, None if trunk is None else trunk[idxs])
-            global_step += 1
-            n_steps += 1
-            for k in sums:
-                sums[k] += terms[k]
-        if n_steps == 0:
-            continue
-        row = {"epoch": float(epoch), "lr": float(epoch_lr if epoch_lr is not None else 0.0)}
-        for k in sums:
-            row[k] = sums[k] / n_steps
-        row["train_dice"] = _train_set_dice(model, split, trunk)
-        log.append(row)
+    end_step = total_steps if stop_after_steps is None else min(total_steps, stop_after_steps)
+    records: List[Dict[str, float]] = []
+    dice: List[float] = []
+    for step in range(start_step, end_step):
+        epoch, b = divmod(step, steps_per_epoch)
+        if b == 0 or step == start_step:
+            order = derive_rng(cfg.seed, _PURPOSE_SHUFFLE, epoch).permutation(len(split))
+        idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+        lr = cosine_lr(step, total_steps, cfg.lr_start, cfg.lr_end)
+        records.append(_train_step(model, [split.images[i] for i in idxs], fraction[idxs], lr,
+                                   opt, epoch, b, step, None if trunk is None else trunk[idxs]))
+        if b == steps_per_epoch - 1 or step == end_step - 1:
+            dice.append(_train_set_dice(model, split, trunk))
 
     return TrainResult(
         model=model,
-        log=log,
+        log=log_rows(records, dice),
+        records=records,
         tensors=checkpoint_payload(model, opt),
         config_text=config_to_text(cfg),
-        step=global_step,
+        step=max(start_step, end_step),
     )
 
 

@@ -256,6 +256,14 @@ def test_nonpositive_geometry_exits_1_with_one_line(cli_workspace, tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_out_dir_that_would_not_read_back_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--set", "out_dir=runs/#1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir = ") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_gradcheck_without_seeds_exits_1(capsys, seeds):
     assert main(["gradcheck", "--seeds", seeds]) == 1

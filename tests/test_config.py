@@ -99,6 +99,16 @@ def test_text_round_trip():
     assert config_from_text(text) == cfg
 
 
+@pytest.mark.parametrize("field, value", [
+    ("out_dir", "runs/#1"),  # '#' starts a comment
+    ("data_root", "d\na"),  # a line break ends the line
+    ("data_root", "d a "),  # each value is stripped
+])
+def test_str_values_that_would_not_read_back_are_refused(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} = "):
+        TrainConfig(**{field: value})
+
+
 def test_text_parsing_comments_and_errors():
     cfg = config_from_text("# comment\nepochs = 3  # inline\n\nseed=9\n")
     assert cfg.epochs == 3 and cfg.seed == 9

@@ -266,14 +266,20 @@ def test_training_is_bit_deterministic(small_cfg, tmp_path):
 def test_resume_matches_uninterrupted_run(small_cfg, tmp_path):
     cfg = small_cfg(epochs=2)  # 8 samples / batch 4 -> 4 total steps
     full = train(cfg)
-    partial = train(cfg, stop_after_steps=2)
-    assert partial.step == 2
-    mid = str(tmp_path / "mid.mcaf")
-    save_result(partial, mid)
-    resumed = train(cfg, resume_from=mid)
-    assert resumed.step == full.step
-    for name, arr in full.tensors.items():
-        np.testing.assert_array_equal(arr, resumed.tensors[name], err_msg=name)
+    assert [r["step"] for r in full.records] == [0.0, 1.0, 2.0, 3.0]
+    for stop in range(1, full.step):  # mid-epoch and at the epoch boundary
+        first = train(cfg, stop_after_steps=stop)
+        assert first.step == stop
+        mid = str(tmp_path / f"mid{stop}.mcaf")
+        save_result(first, mid)
+        resumed = train(cfg, resume_from=mid)
+        assert resumed.step == full.step
+        assert first.records + resumed.records == full.records, stop
+        for name, arr in full.tensors.items():
+            np.testing.assert_array_equal(arr, resumed.tensors[name], err_msg=f"{stop} {name}")
+    # A stop at or below the resume step runs nothing.
+    idle = train(cfg, resume_from=str(tmp_path / "mid3.mcaf"), stop_after_steps=1)
+    assert idle.step == 3 and idle.records == [] and idle.log == []
 
 
 def test_resume_geometry_mismatch_rejected(small_cfg, tmp_path):
@@ -390,6 +396,22 @@ def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
                        match=r"^step 5: mask prediction has \d+ non-finite values"):
         _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=2,
                     step_in_epoch=1, global_step=5)
+
+
+def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, monkeypatch):
+    cfg = small_cfg(variant="decoder_only")
+    model = init_model(cfg)
+
+    def nan_backward(graph, total):
+        backward(graph, total)
+        model.decoder.w.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(trainer_mod, "backward", nan_backward)
+    images, fraction = _batch(cfg, tiny_dataset)
+    with pytest.raises(TrainingAbortError,
+                       match=r"^step 7: non-finite gradient for tensor decoder\.w$"):
+        _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=3,
+                    step_in_epoch=1, global_step=7)
 
 
 def _objective_inputs(cfg, tiny_dataset, live_layers):

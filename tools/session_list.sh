@@ -1,0 +1,69 @@
+#!/bin/sh
+# Run the byte-identity session list of one source tree into one directory.
+#
+#   tools/session_list.sh TREE OUT
+#
+# TREE is a checkout whose package is imported (PYTHONPATH=TREE/src), and OUT
+# a directory that must not exist yet.  The list:
+#   - gen-data: 20 train / 8 test camouflage images at 64x64, seed 3;
+#   - decoder_only, adaptor_plain, mca, tc_only with token_pair_limit=2, and
+#     mca with aug_adapted_forward=false, each at bottleneck=2 for 3 epochs;
+#   - for mca and decoder_only, --stop-after-steps 1, 3, 4 and 6 (3 steps per
+#     epoch, so 3 and 6 are epoch boundaries) into OUT/<variant>_stop<s>,
+#     then --resume from that checkpoint into OUT/<variant>_stop<s>_resumed;
+#   - mca eval and mca dump-masks of the mca checkpoint.
+# The generated data is deleted at the end; every other file stays.
+#
+# config.txt and the checkpoint echo out_dir and data_root, so two trees
+# compare only when both wrote to the same OUT: run one tree, move OUT
+# aside, run the other into the same OUT, then diff -r the two.
+#
+#   tools/session_list.sh ../parent /tmp/sl && mv /tmp/sl /tmp/sl.parent
+#   tools/session_list.sh . /tmp/sl && diff -r /tmp/sl.parent /tmp/sl
+set -eu
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 TREE OUT" >&2
+    exit 2
+fi
+TREE=$(cd "$1" && pwd)
+OUT=$2
+if [ -e "$OUT" ]; then
+    echo "error: $OUT exists" >&2
+    exit 2
+fi
+mkdir -p "$OUT"
+OUT=$(cd "$OUT" && pwd)
+DATA=$OUT/data
+
+mca() {
+    PYTHONPATH="$TREE/src" python3 -m mca "$@" >/dev/null
+}
+
+train() {  # train OUT_NAME [ARGS...]
+    name=$1
+    shift
+    mca train --set "data_root=$DATA" --set "out_dir=$OUT/$name" \
+        --set bottleneck=2 --set epochs=3 "$@"
+}
+
+mca gen-data --out "$DATA" --n-train 20 --n-test 8 --seed 3
+
+train decoder_only --set variant=decoder_only
+train adaptor_plain --set variant=adaptor_plain
+train mca --set variant=mca
+train tc_only_pairs2 --set variant=tc_only --set token_pair_limit=2
+train mca_plain_views --set variant=mca --set aug_adapted_forward=false
+
+for variant in mca decoder_only; do
+    for stop in 1 3 4 6; do
+        train "${variant}_stop$stop" --set "variant=$variant" --stop-after-steps "$stop"
+        train "${variant}_stop${stop}_resumed" --set "variant=$variant" \
+            --resume "$OUT/${variant}_stop$stop/checkpoint.mcaf"
+    done
+done
+
+mca eval --checkpoint "$OUT/mca/checkpoint.mcaf" --data "$DATA" --out "$OUT/mca_eval.csv"
+mca dump-masks --checkpoint "$OUT/mca/checkpoint.mcaf" --data "$DATA" --out "$OUT/mca_masks"
+
+rm -r "$DATA"

@@ -7,6 +7,7 @@ Precedence when loading: file values, then explicit CLI overrides, then the
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -46,6 +47,16 @@ class TrainConfig(EncoderConfig):
 
     def __post_init__(self):
         super().__post_init__()  # validates geometry divisibility
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            # config_to_text must read back: '#' starts a comment, a line break
+            # ends the line, and each value is stripped.
+            if isinstance(value, str) and ("#" in value or len(value.splitlines()) > 1
+                                           or value != value.strip()):
+                raise ConfigError(f"{f.name} = {value!r} would not read back from config.txt: "
+                                  "no '#', line break or whitespace at either end")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.lr_start > self.lr_end > 0):
@@ -65,14 +76,6 @@ class TrainConfig(EncoderConfig):
         if not self.temperature > 0:
             raise ConfigError("temperature must be positive")
         parse_strategy(self.strategy)  # validates the op set
-        # config_to_text must read back: '#' starts a comment, a line break
-        # ends the line, and each value is stripped.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, str) and ("#" in value or len(value.splitlines()) > 1
-                                           or value != value.strip()):
-                raise ConfigError(f"{f.name} = {value!r} would not read back from config.txt: "
-                                  "no '#', line break or whitespace at either end")
 
     @property
     def adaptors_enabled(self) -> bool:
@@ -122,8 +125,8 @@ def _coerce(name: str, raw: str, target_type: type):
 
 
 def config_from_text(text: str) -> TrainConfig:
-    """Parse 'key = value' lines; '#' starts a comment; unknown keys error."""
-    updates = {}
+    """Parse 'key = value' lines; '#' starts a comment; unknown or repeated keys error."""
+    updates, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -133,6 +136,10 @@ def config_from_text(text: str) -> TrainConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r} on line {lineno}")
+        if key in lines:
+            raise ConfigError(
+                f"config key {key!r} is set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         updates[key] = _coerce(key, raw, _TYPES[key])
     return TrainConfig(**updates)
 

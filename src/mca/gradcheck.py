@@ -9,8 +9,9 @@ session dtype is restored afterwards.
 
 Each suite checks the single-instance form and the batched form
 (leading axes) of its operation.  The ``total_loss`` suite differentiates
-the trainer's own ``step_objective`` on a batch of two images and their
-views, so the objective that trains is the objective that is checked.
+the trainer's own ``step_objective`` on the ``frozen_rows`` of two images
+and their views, so the objective that trains is the objective that is
+checked.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .tensor import (
     normalize_rows,
     set_default_dtype,
 )
-from .trainer import ModelState, step_objective
+from .trainer import ModelState, frozen_rows, step_objective
 
 # End-to-end geometry: 32x32 images, two encoder layers, batches of two.
 E2E_TRAIN_CONFIG = TrainConfig(
@@ -310,9 +311,10 @@ def _check_total_loss(rng, deep: bool) -> List[float]:
     views = np.stack([rng.random((3, size, size)) for _ in range(2)])
     masks = np.stack([(rng.random((size, size)) > 0.5).astype(np.float64) for _ in range(2)])
     fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
+    rows = frozen_rows(model, images)
 
     def objective(_v):
-        total, _terms = step_objective(model, images, views, fraction, None)
+        total, _terms = step_objective(model, rows, views, fraction, None)
         return total
 
     targets = [

@@ -1,14 +1,19 @@
 """Training and evaluation orchestration.
 
-One training session is a single deterministic sequence of steps.  A step
-is one batched tape over the whole batch (``step_objective``): the original
-images go through the encoder as one [B, K, d] pass with the token adaptor
-residuals, and, when the sample-level loss is active, their augmented views
-as a second [B, K, d] pass through the first L-1 of the L layers (the loss
-reads only layer inputs).  Contrastive terms are computed per layer on the
-adaptor inputs, masks are decoded from the final layer, the objective is
-combined and backpropagated, and AdamW updates the adaptor and decoder
-weights only.  Frozen encoder tensors are never updated.
+One training session is a single deterministic sequence of steps.  The
+backbone is frozen, so the tokens X^k before the first layer k with a
+tunable tensor are a fixed function of the image: k = L with no adaptor
+active (``decoder_only``), k = 0 otherwise.  ``train`` computes them for the
+train split once per session, in manifest order (``frozen_rows``, after any
+resume load).  A step is one batched tape (``step_objective``): the encoder
+resumes at layer k from its batch's rows as one [B, K, d] pass with the
+token adaptor residuals, and, when the sample-level loss is active, the
+augmented views go as a second [B, K, d] pass through the first L-1 of the L
+layers (the loss reads only layer inputs).  Contrastive terms are computed
+per layer on the adaptor inputs, masks are decoded from the final layer, the
+objective is combined and backpropagated, and AdamW updates the adaptor and
+decoder weights only.  The train dice, ``evaluate`` and ``predict`` decode
+the same way from the rows of their images (``_patch_maps``).
 
 ``train`` is one loop over the session's global steps.  Each ``_train_step``
 returns its step's record (step, epoch, lr and the loss terms), and the log
@@ -17,18 +22,11 @@ is ``log_rows`` of the records and of each epoch's train dice.
 A ``ModelState`` carries the ``TrainConfig`` that built it, and every
 function here reads the variant, the losses and the batch size from
 ``model.cfg``: no config travels beside a model, so the two cannot
-disagree.  Eager passes (``trunk_tokens``, ``predict``, the train dice)
+disagree.  Eager passes (``frozen_rows``, ``predict``, the train dice)
 run ``batch_size`` images at a time.
 
-With no adaptor active (``decoder_only``) no tunable tensor lies upstream of
-the final tokens, so they are a fixed function of the image: ``train``
-computes them for the whole train split once per session (``trunk_tokens``,
-after any resume load), and every step and every train dice decodes that
-cache instead of running the encoder again.  The cache is in manifest
-order, and a step takes the rows of its shuffled batch.
-
 The train masks never change within a session either: ``train`` reduces
-them once, next to the trunk cache, to per-block fractions
+them once, next to the frozen rows, to per-block fractions
 (``mask_fraction``), and a step takes its batch's rows.  Images stay one
 array each, as ``load_ppm`` returned them (``mca.augment`` says why).
 
@@ -248,25 +246,38 @@ def checkpoint_payload(model: ModelState, opt: Dict[str, AdamState]) -> "Ordered
     return tensors
 
 
-def trunk_tokens(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
-    """Final-layer tokens [N, K, d] of N images [C, H, W], ``batch_size`` images per pass.
+def _encoder_halves(model: ModelState) -> Tuple[EncoderState, EncoderState]:
+    """The frozen encoder before layer k and the rest (k = L with no adaptor active, else 0)."""
+    enc = model.encoder
+    k = 0 if model.cfg.adaptors_enabled else len(enc.layers)
+    return (replace(enc, layers=enc.layers[:k], adaptors=enc.adaptors[:k]),
+            replace(enc, layers=enc.layers[k:], adaptors=enc.adaptors[k:]))
 
-    Eager (no tape); the adaptors run when the model's variant enables them.
-    """
-    cfg, tokens = model.cfg, []
+
+def frozen_rows(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Tokens X^k [N, K, d] of N images [C, H, W], ``batch_size`` images per pass; eager."""
+    cfg, (prefix, _) = model.cfg, _encoder_halves(model)
+    rows = []
     for start in range(0, len(images), cfg.batch_size):
         x0 = tokenize(np.stack(images[start:start + cfg.batch_size]), cfg, model.encoder)
-        xs, _ = encoder_forward(x0, model.encoder, cfg.adaptors_enabled)
-        tokens.append(xs[-1].data)
-    return np.concatenate(tokens)
+        xs, _ = encoder_forward(x0, prefix, cfg.adaptors_enabled)
+        rows.append(([x0] + xs)[-1].data)
+    return np.concatenate(rows)
 
 
-def _decode_maps(model: ModelState, tokens: np.ndarray) -> np.ndarray:
-    """Patch probability maps [N, g, g] of final tokens [N, K, d], ``batch_size`` per pass."""
+def _resume(model: ModelState, rows: np.ndarray) -> Tuple[List[Tensor], Optional[List[Tensor]]]:
+    """[X^k, ..., X^L] from rows X^k, and the token adaptor outputs of layers k on."""
+    x = Tensor(rows)
+    xs, ys = encoder_forward(x, _encoder_halves(model)[1], model.cfg.adaptors_enabled)
+    return [x] + xs, ys
+
+
+def _patch_maps(model: ModelState, rows: np.ndarray) -> np.ndarray:
+    """Patch probability maps [N, g, g] of ``frozen_rows`` [N, K, d], ``batch_size`` per pass."""
     chunk = model.cfg.batch_size
     return np.concatenate([
-        decode_mask(Tensor(tokens[start:start + chunk]), model.decoder).data
-        for start in range(0, len(tokens), chunk)
+        decode_mask(_resume(model, rows[start:start + chunk])[0][-1], model.decoder).data
+        for start in range(0, len(rows), chunk)
     ])
 
 
@@ -277,11 +288,11 @@ def predict(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
     patch_size x patch_size block; the sigmoid commutes with that copy, so
     the maps are bitwise the sigmoid of the upsampled logits.  Only
     ``dump-masks`` upsamples; the train dice and ``evaluate`` score the
-    ``_decode_maps`` patch maps, whose blocks these are, so all three agree
+    ``_patch_maps`` patch maps, whose blocks these are, so all three agree
     on thresholded masks.
     """
     f = model.cfg.patch_size
-    maps = _decode_maps(model, trunk_tokens(model, images))
+    maps = _patch_maps(model, frozen_rows(model, images))
     return maps.repeat(f, axis=-2).repeat(f, axis=-1)
 
 
@@ -292,39 +303,28 @@ def _layer_mean(losses: List[Tensor]) -> Tensor:
 
 def step_objective(
     model: ModelState,
-    images: np.ndarray,
+    rows: np.ndarray,
     views: Optional[np.ndarray],
     fraction: np.ndarray,
     pair_rng: Optional[np.random.Generator],
-    tokens: Optional[np.ndarray] = None,
 ) -> Tuple[Tensor, Dict[str, object]]:
     """The training objective of one batch, as one batched tape.
 
-    ``images`` and ``views`` (the augmented views, used only with the
-    sample-level loss) are [B, C, H, W]; ``fraction`` is the masks'
-    ``mask_fraction`` [B, g, g].  A non-finite mask prediction aborts.  With a
-    binding ``token_pair_limit``, ``pair_rng`` draws the kept negatives in
-    the order image, then layer, then anchor.  ``tokens``, the images'
-    final trunk tokens [B, K, d] from ``trunk_tokens``, replaces the encoder
-    pass; it is accepted only with adaptors off, where nothing upstream of
-    them trains.  Returns the weighted total and its terms ``bce``,
+    ``rows`` are the images' ``frozen_rows`` [B, K, d]; ``views`` (the
+    augmented views, used only with the sample-level loss) are
+    [B, C, H, W]; ``fraction`` is the masks' ``mask_fraction`` [B, g, g].  A
+    non-finite mask prediction aborts.  With a binding ``token_pair_limit``,
+    ``pair_rng`` draws the kept negatives in the order image, then layer,
+    then anchor.  Returns the weighted total and its terms ``bce``,
     ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that is off is the float
     0.0).
     """
     cfg, enc = model.cfg, model.encoder
-    if tokens is None:
-        x0 = tokenize(images, cfg, enc)
-        xs, ys = encoder_forward(x0, enc, cfg.adaptors_enabled)
-        # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = what
-        # layer i consumed), not on the layer outputs: the token loss aligns
-        # the residual with the tokens it was computed from.
-        x_in = [x0] + xs[:-1]
-        final = xs[-1]
-    elif cfg.adaptors_enabled:
-        raise ContractError(f"cached trunk tokens need adaptors off, variant is {cfg.variant!r}")
-    else:
-        final = Tensor(tokens)
-    m = decode_mask(final, model.decoder)
+    # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = xs[i], as
+    # k = 0 with adaptors), not on the layer outputs: the token loss aligns
+    # the residual with the tokens it was computed from.
+    xs, ys = _resume(model, rows)
+    m = decode_mask(xs[-1], model.decoder)
     bad = int(np.count_nonzero(~np.isfinite(m.data)))
     if bad:
         raise TrainingAbortError(f"mask prediction has {bad} non-finite values of {m.data.size}")
@@ -344,11 +344,11 @@ def step_objective(
             # The kept negatives depend only on the rng, so they are drawn
             # up front, in the order image, layer, anchor.
             drawn = [[negative_mask(n_tok, limit, pair_rng, get_default_dtype()) for _ in live]
-                     for _ in range(len(images))]
+                     for _ in range(len(rows))]
             negatives = {i: np.stack([row[j] for row in drawn]) for j, i in enumerate(live)}
         if live:
             terms["cl_t"] = _layer_mean([
-                token_contrastive_loss(x_in[i], ys[i], cfg.temperature, negatives=negatives[i])
+                token_contrastive_loss(xs[i], ys[i], cfg.temperature, negatives=negatives[i])
                 for i in live
             ])
 
@@ -360,7 +360,7 @@ def step_objective(
                                  cfg.adaptors_enabled and cfg.aug_adapted_forward)
         xa_in = [x0a] + xsa
         terms["cl_s"] = _layer_mean([
-            sample_contrastive_loss(sc_forward(x_in[i], p.sample),
+            sample_contrastive_loss(sc_forward(xs[i], p.sample),
                                     sc_forward(xa_in[i], p.sample), cfg.temperature)
             for i, p in enumerate(enc.adaptors)
         ])
@@ -373,13 +373,13 @@ def step_objective(
 def _train_step(
     model: ModelState,
     images: Sequence[np.ndarray],
+    rows: np.ndarray,
     fraction: np.ndarray,
     lr: float,
     opt: Dict[str, AdamState],
     epoch: int,
     step_in_epoch: int,
     global_step: int,
-    tokens: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
     cfg = model.cfg
     views = None
@@ -398,8 +398,7 @@ def _train_step(
 
     try:
         with Graph() as g:
-            total, terms = step_objective(model, np.stack(images), views, fraction, pair_rng,
-                                          tokens)
+            total, terms = step_objective(model, rows, views, fraction, pair_rng)
             backward(g, total)
         named = named_tensors(model)
         for name, state in opt.items():
@@ -437,16 +436,13 @@ def log_rows(records: Sequence[Dict[str, float]],
             for (epoch, group), train_dice in zip(epochs.items(), dice, strict=True)]
 
 
-def _train_set_dice(model: ModelState, split: Split,
-                    trunk: Optional[np.ndarray] = None) -> float:
-    """Mean dice over the train split; ``trunk`` is the session's cached trunk tokens.
+def _train_set_dice(model: ModelState, split: Split, rows: np.ndarray) -> float:
+    """Mean dice over the train split; ``rows`` are its ``frozen_rows``.
 
     Scored on the patch grid by ``metrics.dice_iou``, as ``evaluate``
     scores it: each dice is bitwise that of the upsampled map.
     """
-    if trunk is None:
-        trunk = trunk_tokens(model, split.images)
-    pair = EvalPair(_decode_maps(model, trunk), split.masks)
+    pair = EvalPair(_patch_maps(model, rows), split.masks)
     return float(np.mean(dice_iou(pair)[0]))
 
 
@@ -481,6 +477,8 @@ def train(
     per step this session ran, and the log is their ``log_rows``: it covers
     only the epochs this session ran, each averaged over the steps it ran.
     """
+    if stop_after_steps is not None and stop_after_steps < 0:
+        raise ConfigError(f"stop_after_steps must be >= 0, got {stop_after_steps}")
     split = load_split(cfg.data_root, "train")
     model = init_model(cfg)
     named = named_tensors(model)
@@ -512,7 +510,7 @@ def train(
             f"checkpoint step {start_step} exceeds configured schedule {total_steps}"
         )
     # Built after any resume load, which sets the frozen weights it depends on.
-    trunk = None if cfg.adaptors_enabled else trunk_tokens(model, split.images)
+    rows = frozen_rows(model, split.images)
     fraction = mask_fraction(split.masks, (cfg.grid, cfg.grid))
 
     end_step = total_steps if stop_after_steps is None else min(total_steps, stop_after_steps)
@@ -524,10 +522,10 @@ def train(
             order = derive_rng(cfg.seed, _PURPOSE_SHUFFLE, epoch).permutation(len(split))
         idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
         lr = cosine_lr(step, total_steps, cfg.lr_start, cfg.lr_end)
-        records.append(_train_step(model, [split.images[i] for i in idxs], fraction[idxs], lr,
-                                   opt, epoch, b, step, None if trunk is None else trunk[idxs]))
+        records.append(_train_step(model, [split.images[i] for i in idxs], rows[idxs],
+                                   fraction[idxs], lr, opt, epoch, b, step))
         if b == steps_per_epoch - 1 or step == end_step - 1:
-            dice.append(_train_set_dice(model, split, trunk))
+            dice.append(_train_set_dice(model, split, rows))
 
     return TrainResult(
         model=model,
@@ -553,7 +551,7 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
 
 def evaluate(model: ModelState, split: Split) -> MetricReport:
     """Inference scoring of the patch maps: no augmentation branch, no contrastive losses."""
-    maps = _decode_maps(model, trunk_tokens(model, split.images))
+    maps = _patch_maps(model, frozen_rows(model, split.images))
     return evaluate_dataset(EvalPair(maps, split.masks), split.ids)
 
 

@@ -264,6 +264,24 @@ def test_out_dir_that_would_not_read_back_exits_1_with_one_line(tmp_path, monkey
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("setting", ["w_bce=nan", "w_cl_s=inf"])
+def test_non_finite_weight_exits_1_with_one_line(tmp_path, monkeypatch, capsys, setting):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting.split('=')[0]} must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_negative_stop_after_steps_exits_1_with_one_line(cli_workspace, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+                 "--set", f"out_dir={out_dir}", "--stop-after-steps", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: stop_after_steps must be >= 0, got -5\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_gradcheck_without_seeds_exits_1(capsys, seeds):
     assert main(["gradcheck", "--seeds", seeds]) == 1

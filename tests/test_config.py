@@ -109,6 +109,20 @@ def test_str_values_that_would_not_read_back_are_refused(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["w_bce", "w_iou", "w_cl_t", "w_cl_s", "lr_start", "lr_end",
+                                   "temperature"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_values_are_refused(field, value):
+    # Each would pass the range checks or fail them under another key's name.
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value}$"):
+        TrainConfig(**{field: value})
+
+
+def test_repeated_key_is_refused_naming_both_lines():
+    with pytest.raises(ConfigError, match=r"^config key 'seed' is set twice, on lines 1 and 3$"):
+        config_from_text("seed = 1\nepochs = 2\nseed = 2\n")
+
+
 def test_text_parsing_comments_and_errors():
     cfg = config_from_text("# comment\nepochs = 3  # inline\n\nseed=9\n")
     assert cfg.epochs == 3 and cfg.seed == 9

@@ -31,6 +31,7 @@ from mca.trainer import (
     derive_rng,
     evaluate,
     frozen_names,
+    frozen_rows,
     init_model,
     log_to_csv,
     model_from_checkpoint,
@@ -383,8 +384,8 @@ def test_zero_sample_embedding_aborts_with_step_label(small_cfg, tiny_dataset):
     opt = _fresh_opt(model)
     images, fraction = _batch(cfg, tiny_dataset)
     with pytest.raises(TrainingAbortError, match=r"^step 3: .*zero-norm"):
-        _train_step(model, images, fraction, cfg.lr_start, opt, epoch=1, step_in_epoch=1,
-                    global_step=3)
+        _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start, opt,
+                    epoch=1, step_in_epoch=1, global_step=3)
 
 
 def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
@@ -394,8 +395,8 @@ def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
     images, fraction = _batch(cfg, tiny_dataset)
     with pytest.raises(TrainingAbortError,
                        match=r"^step 5: mask prediction has \d+ non-finite values"):
-        _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=2,
-                    step_in_epoch=1, global_step=5)
+        _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
+                    _fresh_opt(model), epoch=2, step_in_epoch=1, global_step=5)
 
 
 def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, monkeypatch):
@@ -410,8 +411,8 @@ def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, mon
     images, fraction = _batch(cfg, tiny_dataset)
     with pytest.raises(TrainingAbortError,
                        match=r"^step 7: non-finite gradient for tensor decoder\.w$"):
-        _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=3,
-                    step_in_epoch=1, global_step=7)
+        _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
+                    _fresh_opt(model), epoch=3, step_in_epoch=1, global_step=7)
 
 
 def _objective_inputs(cfg, tiny_dataset, live_layers):
@@ -441,7 +442,8 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
     cfg = small_cfg(variant=variant, token_pair_limit=limit)
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, live_layers)
     fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
-    total, terms = step_objective(model, images, views, fraction, derive_rng(cfg.seed, 3, 0))
+    total, terms = step_objective(model, frozen_rows(model, images), views, fraction,
+                                  derive_rng(cfg.seed, 3, 0))
     got = {k: (t.item() if isinstance(t, Tensor) else t) for k, t in terms.items()}
     got["total"] = total.item()
     want = oracle_step_objective(model, images, views, masks, cfg, derive_rng(cfg.seed, 3, 0))
@@ -477,7 +479,10 @@ def test_predict_is_the_sigmoid_of_upsampled_logits(small_cfg, tiny_dataset):
     images = load_split(tiny_dataset, "train").images
     chunk, f, g = cfg.batch_size, cfg.patch_size, cfg.image_size // cfg.patch_size
     maps = predict(model, images)
-    tokens = trainer_mod.trunk_tokens(model, images)
+    tokens = np.concatenate([
+        encoder_forward(tokenize(np.stack(images[i:i + chunk]), cfg, model.encoder),
+                        model.encoder, True)[0][-1].data
+        for i in range(0, len(images), chunk)])
     w, b = model.decoder.w.data, model.decoder.b.data
     logits = np.concatenate([((tokens[i:i + chunk] @ w + b) * LOGIT_GAIN).reshape(-1, g, g)
                              for i in range(0, len(tokens), chunk)])
@@ -492,7 +497,7 @@ def test_train_set_dice_equals_dice_iou_of_upsampled_maps(small_cfg, tiny_datase
     maps = predict(model, split.images)
     scores = [dice_iou(EvalPair(m, mask))[0] for m, mask in zip(maps, split.masks)]
     assert len(set(scores)) > 2  # a partly trained head: the dice differ by image
-    assert _train_set_dice(model, split) == float(np.mean(scores))
+    assert _train_set_dice(model, split, frozen_rows(model, split.images)) == float(np.mean(scores))
 
 
 def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatch):
@@ -504,29 +509,32 @@ def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatc
     monkeypatch.setattr(encoder_mod, "layer_forward",
                         lambda *args: calls.append(None) or forward(*args))
     images, fraction = _batch(cfg, tiny_dataset)
-    _train_step(model, images, fraction, cfg.lr_start, _fresh_opt(model), epoch=0,
-                step_in_epoch=0, global_step=0)
+    _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
+                _fresh_opt(model), epoch=0, step_in_epoch=0, global_step=0)
     assert len(calls) == 2 * cfg.num_layers - 1
 
 
-def _decoder_only_session(cfg, tmp_path, stop, recompute, monkeypatch):
-    """Run ``cfg``, split at ``stop`` steps when given; return the results and encoder calls.
+def _cached_session(cfg, tmp_path, stop, recompute, monkeypatch):
+    """Run ``cfg``, split at ``stop`` steps when given; return the results and tokenize calls.
 
-    ``recompute`` hides the cached trunk from the step and the train dice,
-    so each step runs the encoder through ``step_objective`` itself.
+    ``recompute`` hides the session's frozen rows from the step and the
+    train dice: each computes ``frozen_rows`` of its own images.
     """
     calls = []
 
-    def counted_forward(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return encoder_forward(*args, **kwargs)
+    def counted_tokenize(images, *args):
+        calls.append(images.shape[0])
+        return tokenize(images, *args)
 
+    rows_of, step = trainer_mod.frozen_rows, trainer_mod._train_step
+    dice = trainer_mod._train_set_dice
     with monkeypatch.context() as m:
-        m.setattr(trainer_mod, "encoder_forward", counted_forward)
+        m.setattr(trainer_mod, "tokenize", counted_tokenize)
         if recompute:
-            objective, dice = trainer_mod.step_objective, trainer_mod._train_set_dice
-            m.setattr(trainer_mod, "step_objective", lambda *args: objective(*args[:5]))
-            m.setattr(trainer_mod, "_train_set_dice", lambda *args: dice(*args[:2]))
+            m.setattr(trainer_mod, "_train_step", lambda model, images, _rows, *rest:
+                      step(model, images, rows_of(model, images), *rest))
+            m.setattr(trainer_mod, "_train_set_dice", lambda model, split, _rows:
+                      dice(model, split, rows_of(model, split.images)))
         if stop is None:
             return [train(cfg)], calls
         first = train(cfg, stop_after_steps=stop)
@@ -535,17 +543,26 @@ def _decoder_only_session(cfg, tmp_path, stop, recompute, monkeypatch):
         return [first, train(cfg, resume_from=path)], calls
 
 
-@pytest.mark.parametrize("stop", [None, 4], ids=["whole", "resumed_mid_epoch"])
-def test_trunk_cache_matches_recomputed_trunk(small_cfg, tmp_path, monkeypatch, stop):
+@pytest.mark.parametrize("variant, stop", [
+    pytest.param("decoder_only", None, id="whole"),
+    pytest.param("decoder_only", 4, id="resumed_mid_epoch"),
+    pytest.param("mca", None, id="mca-whole"),
+    pytest.param("mca", 4, id="mca-resumed_mid_epoch"),
+])
+def test_trunk_cache_matches_recomputed_trunk(small_cfg, tmp_path, monkeypatch, variant, stop):
     # 8 images in batches of 3: steps of 3, 3 and 2 images; step 4 is the
     # second step of epoch 1, so the split falls inside an epoch.
-    cfg = small_cfg(variant="decoder_only", batch_size=3, epochs=2)
-    cached, cached_calls = _decoder_only_session(cfg, tmp_path, stop, False, monkeypatch)
-    plain, _ = _decoder_only_session(cfg, tmp_path, stop, True, monkeypatch)
-    # One trunk pass per session, in batch-size chunks; no step runs the encoder.
-    assert cached_calls == [3, 3, 2] * len(cached)
+    cfg = small_cfg(variant=variant, batch_size=3, epochs=2)
+    cached, cached_calls = _cached_session(cfg, tmp_path, stop, False, monkeypatch)
+    plain, _ = _cached_session(cfg, tmp_path, stop, True, monkeypatch)
+    # One pass of frozen rows per session, in batch-size chunks; a step
+    # tokenizes only its augmented views, when the sample loss draws them.
+    chunks = [3, 3, 2]
+    assert cached_calls == [n for result in cached for n in chunks + [
+        chunks[int(r["step"]) % 3] for r in result.records if cfg.use_sample_loss]]
     for got, want in zip(cached, plain):
         assert got.step == want.step
+        assert got.records == want.records
         assert log_to_csv(got.log) == log_to_csv(want.log)
         assert list(got.tensors) == list(want.tensors)
         for name, arr in want.tensors.items():
@@ -563,24 +580,15 @@ def test_train_reduces_the_masks_once_per_session(small_cfg, monkeypatch):
     assert calls == [(8, 32, 32)]
 
 
-def test_cached_tokens_refused_with_adaptors(small_cfg, tiny_dataset):
-    cfg = small_cfg(variant="adaptor_plain")
-    model, images, views, masks = _objective_inputs(cfg, tiny_dataset, ())
-    tokens = trainer_mod.trunk_tokens(model, list(images))
-    fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
-    with pytest.raises(ContractError, match="adaptors off"):
-        step_objective(model, images, views, fraction, None, tokens)
-
-
 def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
     """Gradients of one ``step_objective`` backward, by tensor name."""
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, (0, 1))
     named = named_tensors(model)
     for name in frozen_names(model):
         named[name].requires_grad = frozen_requires_grad
-    fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
+    fraction, rows = mask_fraction(masks, (cfg.grid, cfg.grid)), frozen_rows(model, images)
     with Graph() as g:
-        total, _ = step_objective(model, images, views, fraction, None)
+        total, _ = step_objective(model, rows, views, fraction, None)
         backward(g, total)
     return {name: t.grad for name, t in named.items()}
 
@@ -593,8 +601,10 @@ def test_frozen_weights_get_no_gradient(small_cfg, tiny_dataset, variant):
     grads = _step_gradients(cfg, tiny_dataset, False)
     assert [n for n in frozen if grads[n] is not None] == []
     # Differentiating the frozen weights too must not move a tunable bit.
+    # The encoder resumes from cached rows at layer 0 with adaptors and at
+    # layer L without, so layer 0 is on the tape exactly when adaptors are.
     every = _step_gradients(cfg, tiny_dataset, True)
-    assert every["patch_proj.w"] is not None
+    assert (every["layer0.w_q"] is not None) == cfg.adaptors_enabled
     for name in tunable:
         assert grads[name] is not None, name
         np.testing.assert_array_equal(grads[name], every[name], err_msg=name)

@@ -11,7 +11,8 @@
 #   - for mca and decoder_only, --stop-after-steps 1, 3, 4 and 6 (3 steps per
 #     epoch, so 3 and 6 are epoch boundaries) into OUT/<variant>_stop<s>,
 #     then --resume from that checkpoint into OUT/<variant>_stop<s>_resumed;
-#   - mca eval and mca dump-masks of the mca checkpoint.
+#   - mca eval and mca dump-masks of the mca and decoder_only checkpoints
+#     (the adaptor path and the all-frozen trunk path of inference).
 # The generated data is deleted at the end; every other file stays.
 #
 # config.txt and the checkpoint echo out_dir and data_root, so two trees
@@ -63,7 +64,11 @@ for variant in mca decoder_only; do
     done
 done
 
-mca eval --checkpoint "$OUT/mca/checkpoint.mcaf" --data "$DATA" --out "$OUT/mca_eval.csv"
-mca dump-masks --checkpoint "$OUT/mca/checkpoint.mcaf" --data "$DATA" --out "$OUT/mca_masks"
+for variant in mca decoder_only; do
+    mca eval --checkpoint "$OUT/$variant/checkpoint.mcaf" --data "$DATA" \
+        --out "$OUT/${variant}_eval.csv"
+    mca dump-masks --checkpoint "$OUT/$variant/checkpoint.mcaf" --data "$DATA" \
+        --out "$OUT/${variant}_masks"
+done
 
 rm -r "$DATA"

@@ -7,23 +7,21 @@ loss branch.  Both InfoNCE losses contrast matched pairs (same token index,
 or same sample) against the cross-view mismatched pairs, with cosine
 similarity taken for all pairs at once as
 ``matmul(normalize_rows(x), normalize_rows(y)^T)`` and divided by the
-``temperature`` argument (``TrainConfig`` checks that it is positive).  The
-token loss drops negatives only through a caller's mask (``negatives=``, see
-``negative_mask``).
+``temperature`` argument (``TrainConfig`` checks that it is positive).
+Every mismatched pair is a negative: the token loss of an image contrasts
+each token with all K - 1 others.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import (
     Tensor,
-    add_const,
     diag_part,
     gelu,
     logsumexp_rows,
@@ -139,55 +137,32 @@ def sc_forward(x: Tensor, w: SampleAdaptorWeights) -> Tensor:
     return matmul(gelu(matmul(h, w.w_down) + w.b_down), w.w_up) + w.b_up
 
 
-def negative_mask(n: int, limit: int, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Additive [n, n] InfoNCE mask keeping ``limit`` negatives per anchor.
-
-    Entry (j, j') is 0 where the pair enters the anchor's logsumexp and -inf
-    where it is dropped.  The diagonal (the positive) is always kept; for
-    each anchor j in order, ``limit`` of the other n - 1 indices are drawn
-    from ``rng`` without replacement.
-    """
-    mask = np.full((n, n), -np.inf, dtype=dtype)
-    np.fill_diagonal(mask, 0.0)
-    for j in range(n):
-        others = np.delete(np.arange(n), j)
-        keep = rng.choice(others, size=limit, replace=False)
-        mask[j, keep] = 0.0
-    return mask
-
-
-def _infonce_from_pairs(x: Tensor, y: Tensor, temperature: float,
-                        negatives: Optional[np.ndarray] = None) -> Tensor:
+def _infonce_from_pairs(x: Tensor, y: Tensor, temperature: float) -> Tensor:
     """Mean over leading indices and anchors j of logsumexp_j'(sim[j, j']/t) - sim[j, j]/t.
 
     ``x`` and ``y`` are [..., n, d]; every leading index is its own set of
     n pairs.  Row j of each [n, n] similarity matrix holds the positive at
     the diagonal and the cross-view negatives off it, so the expression
-    equals -log(exp(s+/t) / sum_j' exp(s_jj'/t)).  ``negatives``, when
-    given, is an additive [..., n, n] mask (see ``negative_mask``).  With
-    equal n per leading index, the mean over all anchors is the mean of the
-    per-index losses.
+    equals -log(exp(s+/t) / sum_j' exp(s_jj'/t)).  With equal n per leading
+    index, the mean over all anchors is the mean of the per-index losses.
     """
     sim = matmul(normalize_rows(x), transpose_last(normalize_rows(y)))
     scaled = sim * (1.0 / temperature)
-    denom = logsumexp_rows(scaled if negatives is None else add_const(scaled, negatives))
-    return mean_all(sub(denom, diag_part(scaled)))
+    return mean_all(sub(logsumexp_rows(scaled), diag_part(scaled)))
 
 
-def token_contrastive_loss(x: Tensor, y: Tensor, temperature: float,
-                           negatives: Optional[np.ndarray] = None) -> Tensor:
+def token_contrastive_loss(x: Tensor, y: Tensor, temperature: float) -> Tensor:
     """Token-level InfoNCE over K anchor tokens; exactly 0 at K=1.
 
     ``x`` and ``y`` are one image's tokens [K, d] or a batch [..., K, d];
     the loss of a batch is the mean of its per-image losses.  Every other
-    token of the view is a negative unless ``negatives``, an additive
-    [..., K, K] mask from ``negative_mask``, drops some.
+    token of the view is a negative.
     """
     if x.ndim < 2 or x.shape != y.shape:
         raise ShapeError(f"token loss needs equal [..., K, d] inputs, got {x.shape}/{y.shape}")
     if x.shape[-2] < 1:
         raise ContractError("token loss needs at least one token")
-    return _infonce_from_pairs(x, y, temperature, negatives)
+    return _infonce_from_pairs(x, y, temperature)
 
 
 def sample_contrastive_loss(eps: Tensor, eps_aug: Tensor, temperature: float) -> Tensor:

@@ -35,7 +35,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
-    overrides = dict(parse_override(s) for s in args.overrides)
+    overrides = {}
+    for text in args.overrides:
+        key, value = parse_override(text)
+        if key in overrides:
+            raise ConfigError(f"config key {key!r} is set twice by --set")
+        overrides[key] = value
     return load_config(args.config, overrides)
 
 

@@ -1,5 +1,7 @@
-"""Training configuration: every stated hyperparameter plus every open
-decision, serialized as a flat ``key = value`` text format.
+"""Training configuration: the hyperparameters a run may set, serialized as
+a flat ``key = value`` text format.  A choice that no run varies is a
+constant of the code, not a key: the token loss keeps every negative, and
+the augmented views pass through the adaptors the variant enables.
 
 Precedence when loading: file values, then explicit CLI overrides, then the
 ``MCA_SEED`` environment variable (seed only).  Unknown keys are errors.
@@ -25,10 +27,8 @@ class TrainConfig(EncoderConfig):
     # adaptors / contrastive
     bottleneck: int = 8          # width-reduction factor; overridable per run
     temperature: float = 0.1
-    token_pair_limit: int = 0    # 0 disables negative subsampling
     # augmentation
     strategy: str = "CJ+RS"
-    aug_adapted_forward: bool = True  # augmented pass uses adaptor residuals
     # optimization
     batch_size: int = 8
     epochs: int = 30
@@ -67,12 +67,12 @@ class TrainConfig(EncoderConfig):
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.bottleneck < 1 or self.embed_dim % self.bottleneck != 0:
             raise ConfigError(
                 f"bottleneck {self.bottleneck} must be >= 1 and divide embed_dim {self.embed_dim}"
             )
-        if self.token_pair_limit < 0:
-            raise ConfigError("token_pair_limit must be >= 0")
         if not self.temperature > 0:
             raise ConfigError("temperature must be positive")
         parse_strategy(self.strategy)  # validates the op set
@@ -100,25 +100,12 @@ _TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 def config_to_text(cfg: TrainConfig) -> str:
     """Serialize as one 'key = value' line per field, in declaration order."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def _coerce(name: str, raw: str, target_type: type):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return target_type(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse config key {name!r} from {raw!r}") from exc
@@ -161,9 +148,10 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> TrainC
     env_seed = os.environ.get("MCA_SEED")
     if env_seed is not None:
         try:
-            cfg = replace(cfg, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"MCA_SEED must be an integer, got {env_seed!r}") from exc
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 

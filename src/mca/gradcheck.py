@@ -27,7 +27,6 @@ import numpy as np
 from .adaptors import (
     init_sample_adaptor,
     init_token_adaptor,
-    negative_mask,
     sample_contrastive_loss,
     sc_forward,
     tc_forward,
@@ -210,8 +209,7 @@ def _check_token_infonce(rng) -> List[float]:
     y = _t(rng, (5, 6))
     xb = _t(rng, (2, 4, 6))
     yb = _t(rng, (2, 4, 6))
-    negatives = np.stack([negative_mask(4, 2, rng, np.float64) for _ in range(2)])
-    fb = lambda _v: token_contrastive_loss(xb, yb, temperature, negatives=negatives)
+    fb = lambda _v: token_contrastive_loss(xb, yb, temperature)
     return [
         finite_diff_check(lambda v: token_contrastive_loss(v, y, temperature), x),
         finite_diff_check(lambda v: token_contrastive_loss(x, v, temperature), y),
@@ -314,7 +312,7 @@ def _check_total_loss(rng, deep: bool) -> List[float]:
     rows = frozen_rows(model, images)
 
     def objective(_v):
-        total, _terms = step_objective(model, rows, views, fraction, None)
+        total, _terms = step_objective(model, rows, views, fraction)
         return total
 
     targets = [

@@ -162,8 +162,7 @@ def softmax_rows_backward(s, g):
 
 
 def logsumexp_rows_forward(x):
-    """log(sum(exp(x))) over the last axis with max-shift; -inf entries contribute 0."""
+    """log(sum(exp(x))) over the last axis with max-shift."""
     m = x.max(axis=-1)
-    # exp(-inf - m) is 0, so masked entries drop out of the sum.
     e = np.exp(x - m[..., None])
     return m + np.log(e.sum(axis=-1))

@@ -177,6 +177,8 @@ def generate_split(spec: SceneSpec, n_train: int, n_test: int, seed: int) -> Tup
     """Disjoint seed streams for train and test; unique ids."""
     if n_train < 1 or n_test < 1:
         raise ContractError("split counts must be >= 1")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     splits = []
     for index, (name, n) in enumerate((("train", n_train), ("test", n_test))):
         images, masks = zip(*(generate_sample(spec, _derived_seed(seed, index, i))

@@ -236,7 +236,7 @@ def div(a, b) -> Tensor:
 
 
 def add_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-differentiable constant array (may contain -inf mask slots)."""
+    """Add a non-differentiable constant array of ``a``'s shape."""
     a = _wrap(a)
     if np.shape(const) != a.shape:
         raise ShapeError(f"add_const shape {np.shape(const)} vs {a.shape}")

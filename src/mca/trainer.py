@@ -8,12 +8,14 @@ train split once per session, in manifest order (``frozen_rows``, after any
 resume load).  A step is one batched tape (``step_objective``): the encoder
 resumes at layer k from its batch's rows as one [B, K, d] pass with the
 token adaptor residuals, and, when the sample-level loss is active, the
-augmented views go as a second [B, K, d] pass through the first L-1 of the L
-layers (the loss reads only layer inputs).  Contrastive terms are computed
-per layer on the adaptor inputs, masks are decoded from the final layer, the
-objective is combined and backpropagated, and AdamW updates the adaptor and
-decoder weights only.  The train dice, ``evaluate`` and ``predict`` decode
-the same way from the rows of their images (``_patch_maps``).
+augmented views go as a second [B, K, d] pass, with the same residuals,
+through the first L-1 of the L layers (the loss reads only layer inputs).
+Contrastive terms are computed per layer on the adaptor inputs (the token
+term contrasts each token with all K - 1 others of its image), masks are
+decoded from the final layer, the objective is combined and
+backpropagated, and AdamW updates the adaptor and decoder weights only.
+The train dice, ``evaluate`` and ``predict`` decode the same way from the
+rows of their images (``_patch_maps``).
 
 ``train`` is one loop over the session's global steps.  Each ``_train_step``
 returns its step's record (step, epoch, lr and the loss terms), and the log
@@ -30,9 +32,10 @@ them once, next to the frozen rows, to per-block fractions
 (``mask_fraction``), and a step takes its batch's rows.  Images stay one
 array each, as ``load_ppm`` returned them (``mca.augment`` says why).
 
-All randomness derives from the config seed through fixed-purpose
-SeedSequence spawn keys, so resuming from a checkpoint reproduces the exact
-step stream of an uninterrupted run.
+All randomness (weight init, per-epoch shuffles, per-sample augmentation
+draws) derives from the config seed through fixed-purpose SeedSequence
+spawn keys, so resuming from a checkpoint reproduces the exact step stream
+of an uninterrupted run.
 
 The mask head is scored on the token grid (``mca.objectives``,
 ``mca.metrics``): a patch probability stands for each pixel of its block,
@@ -61,7 +64,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptors import (
-    negative_mask,
     sample_contrastive_loss,
     sc_forward,
     token_adaptor_is_zero,
@@ -76,7 +78,7 @@ from .metrics import METRIC_NAMES, EvalPair, MetricReport, dice_iou, evaluate_da
 from .objectives import (DecoderWeights, bce_loss, combine_losses, decode_mask, init_decoder,
                          iou_loss, mask_fraction)
 from .synthdata import Split, load_split
-from .tensor import Graph, Tensor, backward, get_default_dtype
+from .tensor import Graph, Tensor, backward
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -86,7 +88,6 @@ WEIGHT_DECAY = 0.01
 _PURPOSE_INIT = 0
 _PURPOSE_SHUFFLE = 1
 _PURPOSE_AUGMENT = 2
-_PURPOSE_PAIR_SUBSAMPLE = 3
 
 LOG_FIELDS = ("epoch", "lr", "bce", "iou_loss", "cl_t", "cl_s", "total", "train_dice")
 _TERMS = ("bce", "iou_loss", "cl_t", "cl_s", "total")
@@ -306,18 +307,15 @@ def step_objective(
     rows: np.ndarray,
     views: Optional[np.ndarray],
     fraction: np.ndarray,
-    pair_rng: Optional[np.random.Generator],
 ) -> Tuple[Tensor, Dict[str, object]]:
     """The training objective of one batch, as one batched tape.
 
     ``rows`` are the images' ``frozen_rows`` [B, K, d]; ``views`` (the
     augmented views, used only with the sample-level loss) are
     [B, C, H, W]; ``fraction`` is the masks' ``mask_fraction`` [B, g, g].  A
-    non-finite mask prediction aborts.  With a binding ``token_pair_limit``,
-    ``pair_rng`` draws the kept negatives in the order image, then layer,
-    then anchor.  Returns the weighted total and its terms ``bce``,
-    ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that is off is the float
-    0.0).
+    non-finite mask prediction aborts.  Returns the weighted total and its
+    terms ``bce``, ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that is off is
+    the float 0.0).
     """
     cfg, enc = model.cfg, model.encoder
     # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = xs[i], as
@@ -338,26 +336,16 @@ def step_objective(
         # zero vector is undefined.  Mask-loss gradients make them nonzero
         # after the first update.
         live = [i for i, p in enumerate(enc.adaptors) if not token_adaptor_is_zero(p.token)]
-        n_tok, limit = cfg.num_tokens, cfg.token_pair_limit
-        negatives = dict.fromkeys(live)
-        if limit and n_tok - 1 > limit and pair_rng is not None:
-            # The kept negatives depend only on the rng, so they are drawn
-            # up front, in the order image, layer, anchor.
-            drawn = [[negative_mask(n_tok, limit, pair_rng, get_default_dtype()) for _ in live]
-                     for _ in range(len(rows))]
-            negatives = {i: np.stack([row[j] for row in drawn]) for j, i in enumerate(live)}
         if live:
             terms["cl_t"] = _layer_mean([
-                token_contrastive_loss(xs[i], ys[i], cfg.temperature, negatives=negatives[i])
-                for i in live
+                token_contrastive_loss(xs[i], ys[i], cfg.temperature) for i in live
             ])
 
     if cfg.use_sample_loss:
         x0a = tokenize(views, cfg, enc)
         # The sample loss reads each layer's input, so the view pass stops
         # before the last layer, whose output nothing reads.
-        xsa, _ = encoder_forward(x0a, replace(enc, layers=enc.layers[:-1]),
-                                 cfg.adaptors_enabled and cfg.aug_adapted_forward)
+        xsa, _ = encoder_forward(x0a, replace(enc, layers=enc.layers[:-1]), cfg.adaptors_enabled)
         xa_in = [x0a] + xsa
         terms["cl_s"] = _layer_mean([
             sample_contrastive_loss(sc_forward(xs[i], p.sample),
@@ -390,15 +378,10 @@ def _train_step(
                 cfg.seed, _PURPOSE_AUGMENT, epoch, step_in_epoch * cfg.batch_size + pos))
             for pos, image in enumerate(images)
         ])
-    pair_rng = (
-        derive_rng(cfg.seed, _PURPOSE_PAIR_SUBSAMPLE, global_step)
-        if cfg.token_pair_limit
-        else None
-    )
 
     try:
         with Graph() as g:
-            total, terms = step_objective(model, rows, views, fraction, pair_rng)
+            total, terms = step_objective(model, rows, views, fraction)
             backward(g, total)
         named = named_tensors(model)
         for name, state in opt.items():

@@ -157,18 +157,16 @@ def oracle_dice_iou(s, g, threshold=0.5):
     return dice, iou
 
 
-def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
+def oracle_step_objective(model, images, views, masks, cfg):
     """Per-image loop objective of one batch; every term as a float.
 
     Per image: tokens, encoder, the decoded patch map copied into its
     patch x patch pixel blocks, the pixel BCE and soft IoU of that map, and the
-    token InfoNCE averaged over layers whose token adaptor is nonzero
-    (negatives drawn from ``pair_rng`` image by image, layer by layer).
+    token InfoNCE averaged over layers whose token adaptor is nonzero.
     The sample InfoNCE takes each layer's [B, d] embeddings as plain
     values, so this is a reference for the objective's value only.
     """
     from mca.adaptors import (
-        negative_mask,
         sample_contrastive_loss,
         sc_forward,
         token_adaptor_is_zero,
@@ -176,11 +174,10 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
     )
     from mca.encoder import encoder_forward, tokenize
     from mca.objectives import BCE_CLAMP, decode_mask
-    from mca.tensor import Tensor, get_default_dtype
+    from mca.tensor import Tensor
 
     enc, ecfg = model.encoder, model.cfg
     n_layers = len(enc.layers)
-    limit = cfg.token_pair_limit
     live = [i for i in range(n_layers) if not token_adaptor_is_zero(enc.adaptors[i].token)]
     bces, ious, clts = [], [], []
     emb_o = [[] for _ in range(n_layers)]
@@ -198,19 +195,12 @@ def oracle_step_objective(model, images, views, masks, cfg, pair_rng):
         both_empty = pred_sum == 0.0 and gt_sum == 0.0
         ious.append(0.0 if both_empty else 1.0 - inter / (pred_sum + gt_sum - inter))
         if cfg.use_token_loss and cfg.adaptors_enabled and live:
-            n_tok = ecfg.num_tokens
-            negatives = [
-                negative_mask(n_tok, limit, pair_rng, get_default_dtype())
-                if limit and n_tok - 1 > limit else None
-                for _ in live
-            ]
             clts.append(_mean([
-                token_contrastive_loss(x_in[i], ys[i], cfg.temperature, negatives=neg).item()
-                for i, neg in zip(live, negatives)
+                token_contrastive_loss(x_in[i], ys[i], cfg.temperature).item() for i in live
             ]))
         if cfg.use_sample_loss:
             x0a = tokenize(views[b], ecfg, enc)
-            xsa, _ = encoder_forward(x0a, enc, cfg.adaptors_enabled and cfg.aug_adapted_forward)
+            xsa, _ = encoder_forward(x0a, enc, cfg.adaptors_enabled)
             xa_in = [x0a] + xsa[:-1]
             for i in range(n_layers):
                 emb_o[i].append(sc_forward(x_in[i], enc.adaptors[i].sample).data)

@@ -8,7 +8,6 @@ import pytest
 from mca.adaptors import (
     init_sample_adaptor,
     init_token_adaptor,
-    negative_mask,
     sample_contrastive_loss,
     sc_forward,
     tc_forward,
@@ -166,30 +165,6 @@ def test_zero_norm_row_rejected():
         token_contrastive_loss(x, y, 0.1)
 
 
-def test_pair_limit_subsampling_rules(f64):
-    rng_data = np.random.default_rng(4)
-    x = Tensor(rng_data.normal(size=(5, 6)))
-    y = Tensor(rng_data.normal(size=(5, 6)))
-    full = float(token_contrastive_loss(x, y, 0.1).data)
-    # A mask keeping all n-1 negatives is identical to no mask.
-    every = negative_mask(5, 4, np.random.default_rng(0), np.float64)
-    assert np.all(every == 0.0)
-    capped = float(token_contrastive_loss(x, y, 0.1, negatives=every).data)
-    assert abs(full - capped) < 1e-12
-    # A binding mask is deterministic given the same rng seed.
-    a = float(
-        token_contrastive_loss(
-            x, y, 0.1, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
-        ).data
-    )
-    b = float(
-        token_contrastive_loss(
-            x, y, 0.1, negatives=negative_mask(5, 2, np.random.default_rng(9), np.float64)
-        ).data
-    )
-    assert a == b
-
-
 def test_sample_loss_checks_batch_shapes():
     rng_data = np.random.default_rng(5)
     e = rng_data.normal(size=(3, 4))
@@ -211,12 +186,7 @@ def test_token_loss_of_batch_is_mean_of_per_image_losses(f64):
     rng_data = np.random.default_rng(12)
     x = rng_data.normal(size=(3, 5, 6))
     y = rng_data.normal(size=(3, 5, 6))
-    # With binding masks, one rng draws the images' masks in order.
-    rng = np.random.default_rng(4)
-    drawn = np.stack([negative_mask(5, 2, rng, np.float64) for _ in range(3)])
-    for masks in (None, drawn):
-        batched = float(token_contrastive_loss(Tensor(x), Tensor(y), 0.1, masks).data)
-        per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), 0.1,
-                                                  None if masks is None else masks[b]).data)
-                     for b in range(3)]
-        assert batched == pytest.approx(np.mean(per_image), rel=1e-12, abs=0.0)
+    batched = float(token_contrastive_loss(Tensor(x), Tensor(y), 0.1).data)
+    per_image = [float(token_contrastive_loss(Tensor(x[b]), Tensor(y[b]), 0.1).data)
+                 for b in range(3)]
+    assert batched == pytest.approx(np.mean(per_image), rel=1e-12, abs=0.0)

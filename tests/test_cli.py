@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mca import cli, errors
-from mca.checkpoint import load_checkpoint
+from mca.checkpoint import load_checkpoint, save_checkpoint
 from mca.cli import CONFIG_NAME, LOG_NAME, main
 from mca.config import TrainConfig
 from mca.netpbm import load_mask, save_pgm, save_ppm
@@ -279,6 +279,61 @@ def test_negative_stop_after_steps_exits_1_with_one_line(cli_workspace, tmp_path
                  "--set", f"out_dir={out_dir}", "--stop-after-steps", "-5"]) == 1
     err = capsys.readouterr().err
     assert err == "error: stop_after_steps must be >= 0, got -5\n"
+    assert not out_dir.exists()
+
+
+def test_repeated_set_exits_1_with_one_line(cli_workspace, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+                 "--set", f"out_dir={out_dir}", "--set", "seed=1", "--set", "seed=2"]) == 1
+    assert capsys.readouterr().err == "error: config key 'seed' is set twice by --set\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["set", "env"])
+def test_negative_seed_exits_1_with_one_line(cli_workspace, tmp_path, monkeypatch, capsys,
+                                             source):
+    out_dir, seed = tmp_path / "run", {"set": "-1", "env": "-3"}[source]
+    argv = ["train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+            "--set", f"out_dir={out_dir}"]
+    if source == "set":
+        argv += ["--set", f"seed={seed}"]
+    else:
+        monkeypatch.setenv("MCA_SEED", seed)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not out_dir.exists()
+
+
+def test_gen_data_negative_seed_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_with_removed_config_keys_exits_1_naming_the_key(cli_workspace, tmp_path,
+                                                                    capsys, command):
+    # The config echo as written before two keys became constants of the
+    # code: each sat after the key it is inserted after here.
+    arrays, config_text, step = load_checkpoint(
+        os.path.join(cli_workspace["out"], "checkpoint.mcaf"))
+    lines = config_text.splitlines(keepends=True)
+    at = {line.split(" = ")[0]: i for i, line in enumerate(lines)}
+    lines.insert(at["strategy"] + 1, "aug_adapted_forward = true\n")
+    lines.insert(at["temperature"] + 1, "token_pair_limit = 0\n")
+    old = str(tmp_path / "old.mcaf")
+    save_checkpoint(old, arrays, "".join(lines), step)
+    out_dir = tmp_path / "run"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", old, "--data", cli_workspace["data"]]
+    else:
+        argv = ["train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+                "--set", f"out_dir={out_dir}", "--set", "epochs=2", "--resume", old]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config key 'token_pair_limit' on line {at['temperature'] + 2}\n"
     assert not out_dir.exists()
 
 

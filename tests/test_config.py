@@ -24,7 +24,6 @@ def test_pinned_toy_defaults():
     assert cfg.mlp_ratio == 4
     assert cfg.bottleneck == 8
     assert cfg.temperature == 0.1
-    assert cfg.token_pair_limit == 0
     assert cfg.strategy == "CJ+RS"
     assert cfg.batch_size == 8
     assert cfg.epochs == 30
@@ -71,8 +70,8 @@ def test_validation_errors():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(bottleneck=5)  # does not divide embed_dim 64
-    with pytest.raises(ConfigError):
-        TrainConfig(token_pair_limit=-1)
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(temperature=0.0)
     with pytest.raises(ConfigError):
@@ -91,11 +90,9 @@ def test_validation_errors():
 
 
 def test_text_round_trip():
-    cfg = TrainConfig(variant="tc_only", epochs=5, lr_start=1e-3,
-                      aug_adapted_forward=False, out_dir="runs/x")
+    cfg = TrainConfig(variant="tc_only", epochs=5, lr_start=1e-3, out_dir="runs/x")
     text = config_to_text(cfg)
     assert "variant = tc_only" in text
-    assert "aug_adapted_forward = false" in text
     assert config_from_text(text) == cfg
 
 
@@ -132,15 +129,6 @@ def test_text_parsing_comments_and_errors():
         config_from_text("epochs three\n")
     with pytest.raises(ConfigError):
         config_from_text("epochs = three\n")
-    with pytest.raises(ConfigError):
-        config_from_text("aug_adapted_forward = maybe\n")
-
-
-def test_bool_parse_accepted_spellings():
-    for raw, expected in (("true", True), ("1", True), ("YES", True),
-                          ("false", False), ("0", False), ("No", False)):
-        cfg = config_from_text(f"aug_adapted_forward = {raw}\n")
-        assert cfg.aug_adapted_forward is expected
 
 
 def test_load_config_precedence(tmp_path, monkeypatch):
@@ -171,7 +159,6 @@ def test_load_config_no_file(monkeypatch):
 def test_parse_override():
     assert parse_override("epochs=4") == ("epochs", 4)
     assert parse_override("lr_start = 0.001") == ("lr_start", 0.001)
-    assert parse_override("aug_adapted_forward=false") == ("aug_adapted_forward", False)
     with pytest.raises(ConfigError):
         parse_override("epochs")
     with pytest.raises(ConfigError):

@@ -227,7 +227,7 @@ def test_non_finite_prediction_rejected(small_cfg):
     tokens[0, 1 * 4 + 2, 0] = tokens[0, 3 * 4 + 0, 0] = np.nan
     fraction = mask_fraction(np.zeros((1, 32, 32)), (4, 4))
     with pytest.raises(TrainingAbortError, match="2 non-finite"):
-        step_objective(model, tokens, None, fraction, None)
+        step_objective(model, tokens, None, fraction)
 
 
 def test_iou_of_batch_is_mean_of_per_map_losses(f64):

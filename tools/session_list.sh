@@ -6,8 +6,8 @@
 # TREE is a checkout whose package is imported (PYTHONPATH=TREE/src), and OUT
 # a directory that must not exist yet.  The list:
 #   - gen-data: 20 train / 8 test camouflage images at 64x64, seed 3;
-#   - decoder_only, adaptor_plain, mca, tc_only with token_pair_limit=2, and
-#     mca with aug_adapted_forward=false, each at bottleneck=2 for 3 epochs;
+#   - each of the five variants (decoder_only, adaptor_plain, tc_only,
+#     sc_only, mca) at bottleneck=2 for 3 epochs;
 #   - for mca and decoder_only, --stop-after-steps 1, 3, 4 and 6 (3 steps per
 #     epoch, so 3 and 6 are epoch boundaries) into OUT/<variant>_stop<s>,
 #     then --resume from that checkpoint into OUT/<variant>_stop<s>_resumed;
@@ -52,9 +52,9 @@ mca gen-data --out "$DATA" --n-train 20 --n-test 8 --seed 3
 
 train decoder_only --set variant=decoder_only
 train adaptor_plain --set variant=adaptor_plain
+train tc_only --set variant=tc_only
+train sc_only --set variant=sc_only
 train mca --set variant=mca
-train tc_only_pairs2 --set variant=tc_only --set token_pair_limit=2
-train mca_plain_views --set variant=mca --set aug_adapted_forward=false
 
 for variant in mca decoder_only; do
     for stop in 1 3 4 6; do

@@ -24,6 +24,7 @@ from .tensor import (
     Tensor,
     diag_part,
     gelu,
+    linear,
     logsumexp_rows,
     matmul,
     mean_all,
@@ -125,16 +126,16 @@ def tc_forward(x: Tensor, w: TokenAdaptorWeights) -> Tensor:
     """Per-token bottleneck MLP: [..., K, d] -> [..., K, d]."""
     if x.ndim < 2 or x.shape[-1] != w.w_down.shape[0]:
         raise ShapeError(f"tc_forward width mismatch: x {x.shape} vs {w.w_down.shape}")
-    h = gelu(matmul(x, w.w_down) + w.b_down)
-    return matmul(h, w.w_up) + w.b_up
+    h = gelu(linear(x, w.w_down, w.b_down))
+    return linear(h, w.w_up, w.b_up)
 
 
 def sc_forward(x: Tensor, w: SampleAdaptorWeights) -> Tensor:
     """Mean-pool tokens, project, bottleneck MLP: [..., K, d] -> [..., d]."""
     if x.ndim < 2 or x.shape[-1] != w.w_p.shape[0]:
         raise ShapeError(f"sc_forward width mismatch: x {x.shape} vs {w.w_p.shape}")
-    h = matmul(mean_axis(x, -2), w.w_p) + w.b_p
-    return matmul(gelu(matmul(h, w.w_down) + w.b_down), w.w_up) + w.b_up
+    h = linear(mean_axis(x, -2), w.w_p, w.b_p)
+    return linear(gelu(linear(h, w.w_down, w.b_down)), w.w_up, w.b_up)
 
 
 def _infonce_from_pairs(x: Tensor, y: Tensor, temperature: float) -> Tensor:

@@ -29,6 +29,7 @@ from .tensor import (
     Tensor,
     gelu,
     layer_norm,
+    linear,
     matmul,
     permute,
     reshape,
@@ -180,7 +181,7 @@ def extract_patches(image: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 def tokenize(image: np.ndarray, cfg: EncoderConfig, state: EncoderState) -> Tensor:
     """Patch tokens plus position embedding: [..., C, H, W] -> [..., K, d]."""
     patches = Tensor(extract_patches(image, cfg), requires_grad=False)
-    tokens = matmul(patches, state.patch_projection) + state.patch_bias
+    tokens = linear(patches, state.patch_projection, state.patch_bias)
     return tokens + state.position_embedding
 
 
@@ -194,9 +195,9 @@ def layer_forward(x: Tensor, layer: LayerWeights) -> Tensor:
     dh = d // heads
     n = len(lead)
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
-    q = matmul(h, layer.w_q) + layer.b_q
-    k = matmul(h, layer.w_k) + layer.b_k
-    v = matmul(h, layer.w_v) + layer.b_v
+    q = linear(h, layer.w_q, layer.b_q)
+    k = linear(h, layer.w_k, layer.b_k)
+    v = linear(h, layer.w_v, layer.b_v)
     # [..., K, d] <-> [..., heads, K, dh]
     to_heads = (*range(n), n + 1, n, n + 2)
     split = lambda t: permute(reshape(t, (*lead, k_tokens, heads, dh)), to_heads)
@@ -205,9 +206,9 @@ def layer_forward(x: Tensor, layer: LayerWeights) -> Tensor:
     attn = softmax_rows(scores)
     ctx = matmul(attn, vh)  # [..., heads, K, dh]
     merged = reshape(permute(ctx, to_heads), (*lead, k_tokens, d))
-    x1 = x + (matmul(merged, layer.w_o) + layer.b_o)
+    x1 = x + linear(merged, layer.w_o, layer.b_o)
     h2 = layer_norm(x1, layer.ln2_g, layer.ln2_b)
-    mlp = matmul(gelu(matmul(h2, layer.w_mlp1) + layer.b_mlp1), layer.w_mlp2) + layer.b_mlp2
+    mlp = linear(gelu(linear(h2, layer.w_mlp1, layer.b_mlp1)), layer.w_mlp2, layer.b_mlp2)
     return x1 + mlp
 
 

@@ -34,7 +34,7 @@ from .adaptors import (
 )
 from .config import TrainConfig
 from .encoder import EncoderConfig, init_encoder_state, init_layer, layer_forward
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .objectives import DecoderWeights, bce_loss, decode_mask, iou_loss, mask_fraction
 from .tensor import (
     Graph,
@@ -42,6 +42,7 @@ from .tensor import (
     backward,
     gelu,
     get_default_dtype,
+    linear,
     logsumexp_rows,
     matmul,
     mean_all,
@@ -130,6 +131,7 @@ def _check_gelu(rng) -> List[float]:
 
 
 def _check_matmul(rng) -> List[float]:
+    """``matmul`` in both forms, and ``linear`` (its affine form) over leading axes."""
     a = _t(rng, (3, 4))
     b = _t(rng, (4, 5))
     ab = _t(rng, (2, 3, 4))
@@ -148,7 +150,19 @@ def _check_matmul(rng) -> List[float]:
         finite_diff_check(lambda w: mean_all(matmul(w, b) * matmul(w, b)), v),
         finite_diff_check(lambda w: mean_all(matmul(w, b4)), a4),
         finite_diff_check(lambda w: mean_all(matmul(a4, w)), b4),
-    ]
+    ] + _check_linear(rng)
+
+
+def _check_linear(rng) -> List[float]:
+    x = _t(rng, (2, 3, 4))
+    w = _t(rng, (4, 5))
+    b = _t(rng, (5,))
+    f = lambda _v: mean_all(linear(x, w, b) * linear(x, w, b))
+    errs = [finite_diff_check(f, p) for p in (x, w, b)]
+    # Frozen weight and bias: only the input's gradient is taped.
+    w.requires_grad = b.requires_grad = False
+    errs.append(finite_diff_check(f, x))
+    return errs
 
 
 def _check_normalize_rows(rng) -> List[float]:
@@ -360,6 +374,8 @@ def run_gradcheck(
     seeds = list(seeds)
     if not seeds:
         raise ContractError("gradcheck needs at least one seed")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"gradcheck tolerance must be a finite number > 0, got {tol!r}")
     worst: Dict[str, float] = OrderedDict((name, 0.0) for name in SUITES)
     with float64_session():
         for idx, seed in enumerate(seeds):

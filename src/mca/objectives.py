@@ -32,8 +32,8 @@ from .tensor import (
     clamp,
     div,
     get_default_dtype,
+    linear,
     log,
-    matmul,
     mean_all,
     mul,
     neg,
@@ -87,7 +87,7 @@ def decode_mask(xn: Tensor, w: DecoderWeights) -> Tensor:
         raise ShapeError(f"token count {k} is not a square grid")
     if w.w.shape != (d, 1):
         raise ShapeError(f"decoder width {w.w.shape} vs token width {d}")
-    return sigmoid(reshape((matmul(xn, w.w) + w.b) * LOGIT_GAIN, (*lead, grid, grid)))
+    return sigmoid(reshape(linear(xn, w.w, w.b) * LOGIT_GAIN, (*lead, grid, grid)))
 
 
 def bce_loss(m: Tensor, fraction: np.ndarray) -> Tensor:

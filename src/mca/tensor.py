@@ -5,10 +5,14 @@ Primitives record themselves onto the innermost active ``Graph`` (a linear
 tape) whenever at least one operand requires a gradient; with no active graph
 they run eagerly with no bookkeeping, which is the inference path.
 
-``backward`` replays the tape once in reverse, accumulating gradients
-additively across multiple uses of a tensor.  No gradient is computed for a
-tensor with ``requires_grad=False``: each primitive's backward skips its
-operands that do not require one (frozen weights, constants).
+``backward`` consumes the tape once in reverse, accumulating gradients
+additively across multiple uses of a tensor.  It pops each node as it runs
+it and drops the node output's gradient once read, so the arrays a node
+saved are freed as the sweep passes them: afterwards the graph holds
+nothing, and gradients persist only on leaves (tensors that no primitive
+produced, such as parameters).  No gradient is computed for a tensor with
+``requires_grad=False``: each primitive's backward skips its operands that
+do not require one (frozen weights, constants).
 
 Two float widths are supported as a global session setting
 (``set_default_dtype``): float32 for training, float64 for the
@@ -148,7 +152,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(graph: Graph, loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+    """Add d loss / d t to ``grad`` of every requires_grad leaf t reachable from loss.
+
+    Consumes the tape: each node is popped before it runs, and its output's
+    ``grad`` is dropped once read.  A primitive's output therefore keeps no
+    gradient, and the graph holds no array once this returns.
+    """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if id(loss) not in graph._produced:
@@ -157,8 +166,10 @@ def backward(graph: Graph, loss: Tensor) -> None:
         raise ContractError("backward already ran on this graph")
     graph._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(graph._tape):
-        gout = node.out.grad
+    tape = graph._tape
+    while tape:
+        node = tape.pop()
+        gout, node.out.grad = node.out.grad, None
         if gout is None:
             continue
         gins = node.backward_fn(gout)
@@ -281,6 +292,31 @@ def matmul(a, b) -> Tensor:
         return (ga, gb)
 
     return _make(out, (a, b), bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` as one node: [..., k] @ [k, n] + [n] -> [..., n].
+
+    The same numpy operations, in the same order, as ``matmul(x, w) + b``,
+    so values and gradients are bitwise those of the pair.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(
+            f"linear needs [..., k] @ [k, n] + [n], got {x.shape} @ {w.shape} + {b.shape}"
+        )
+    xd, wd = x.data, w.data
+    out = xd @ wd + b.data
+
+    def bw(g):
+        k, n = wd.shape
+        return (
+            g @ wd.swapaxes(-1, -2) if x.requires_grad else None,
+            xd.reshape(-1, k).T @ g.reshape(-1, n) if w.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
+
+    return _make(out, (x, w, b), bw)
 
 
 def transpose_last(a) -> Tensor:

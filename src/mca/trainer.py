@@ -364,11 +364,13 @@ def _train_step(
     rows: np.ndarray,
     fraction: np.ndarray,
     lr: float,
+    tunable: Dict[str, Tensor],
     opt: Dict[str, AdamState],
     epoch: int,
     step_in_epoch: int,
     global_step: int,
 ) -> Dict[str, float]:
+    """One AdamW update of the ``tunable`` tensors (by name, those of ``opt``); its record."""
     cfg = model.cfg
     views = None
     if cfg.use_sample_loss:
@@ -383,9 +385,8 @@ def _train_step(
         with Graph() as g:
             total, terms = step_objective(model, rows, views, fraction)
             backward(g, total)
-        named = named_tensors(model)
         for name, state in opt.items():
-            tensor = named[name]
+            tensor = tunable[name]
             grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
             adamw_step(tensor, grad, state, lr, name=name)
     except (TrainingAbortError, DegenerateInputError) as exc:
@@ -393,7 +394,8 @@ def _train_step(
         # non-finite prediction, loss or gradient, is a training failure;
         # label it with the step.
         raise TrainingAbortError(f"step {global_step}: {exc}") from exc
-    for tensor in named.values():
+    # Only leaves keep a gradient after backward, and only tunable leaves get one.
+    for tensor in tunable.values():
         tensor.grad = None
 
     record = {"step": float(global_step), "epoch": float(epoch), "lr": lr}
@@ -465,8 +467,9 @@ def train(
     split = load_split(cfg.data_root, "train")
     model = init_model(cfg)
     named = named_tensors(model)
-    opt = {name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
-           for name in tunable_names(model)}
+    tunable = {name: named[name] for name in tunable_names(model)}
+    opt = {name: AdamState(m=np.zeros_like(t.data), v=np.zeros_like(t.data))
+           for name, t in tunable.items()}
     start_step = 0
     if resume_from is not None:
         arrays, config_text, start_step = load_checkpoint(resume_from)
@@ -506,7 +509,7 @@ def train(
         idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
         lr = cosine_lr(step, total_steps, cfg.lr_start, cfg.lr_end)
         records.append(_train_step(model, [split.images[i] for i in idxs], rows[idxs],
-                                   fraction[idxs], lr, opt, epoch, b, step))
+                                   fraction[idxs], lr, tunable, opt, epoch, b, step))
         if b == steps_per_epoch - 1 or step == end_step - 1:
             dice.append(_train_set_dice(model, split, rows))
 

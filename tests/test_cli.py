@@ -345,6 +345,14 @@ def test_gradcheck_without_seeds_exits_1(capsys, seeds):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_gradcheck_meaningless_tolerance_exits_1_before_any_suite(capsys, tol):
+    assert main(["gradcheck", "--seeds", "1", "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: gradcheck tolerance must be a finite number > 0, got {float(tol)!r}\n"
+
+
 @pytest.mark.parametrize("case", ["checkpoint", "manifest", "config"])
 def test_undecodable_bytes_exit_1_naming_the_file(cli_workspace, tmp_path, capsys, case):
     ckpt = os.path.join(cli_workspace["out"], "checkpoint.mcaf")

@@ -1,11 +1,14 @@
 """Autodiff engine: forward values, gradients, and graph contracts."""
 
+import contextlib
+import weakref
+
 import numpy as np
 import pytest
 
 from mca import tensor as T
 from mca.errors import ContractError, DegenerateInputError, ShapeError
-from mca.gradcheck import finite_diff_check
+from mca.gradcheck import finite_diff_check, float64_session
 
 
 def _total(t):
@@ -94,7 +97,7 @@ def test_backward_accumulates_across_reuse():
 def test_operands_sharing_an_upstream_gradient_keep_their_own(f64):
     # add without broadcast hands the same upstream array to both operands.
     # a's earlier use (q = a * a) adds to a's gradient after b's is set, and
-    # must not reach b's, the sum's or the upstream's.
+    # must not reach b's.  The intermediates s and q keep no gradient.
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0, 4.0], requires_grad=True)
     w = T.Tensor([0.5, -2.0])
@@ -104,8 +107,26 @@ def test_operands_sharing_an_upstream_gradient_keep_their_own(f64):
         T.backward(g, _total(T.mul(T.add(s, q), w)))
     np.testing.assert_array_equal(a.grad, w.data + 2.0 * a.data * w.data)
     np.testing.assert_array_equal(b.grad, w.data)
-    np.testing.assert_array_equal(s.grad, w.data)
-    np.testing.assert_array_equal(q.grad, w.data)
+    assert s.grad is None and q.grad is None
+
+
+def test_backward_consumes_the_tape():
+    a = T.Tensor([1.0, -2.0], requires_grad=True)
+    w = T.Tensor(np.full((2, 3), 0.5), requires_grad=True)
+    b = T.Tensor(np.zeros(3), requires_grad=True)
+    frozen = T.Tensor([2.0, 3.0, 4.0])
+    with T.Graph() as g:
+        h = T.linear(a, w, b)
+        loss = _total(T.gelu(h) * h * frozen)
+        outputs = [node.out for node in g._tape]
+        saved = [weakref.ref(node.backward_fn) for node in g._tape]
+        T.backward(g, loss)
+    assert g._tape == []
+    assert all(r() is None for r in saved)  # each node's saved arrays went with it
+    assert all(t.grad is None for t in outputs)
+    for leaf in (a, w, b):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    assert frozen.grad is None
 
 
 def test_backward_rejects_non_scalar():
@@ -145,13 +166,15 @@ def test_frozen_tensor_gets_no_grad():
     assert a.grad is not None
 
 
-_BINARY_PRIMITIVES = {
-    "add": (lambda a, b: T.add(a, b), (3, 4), (4,)),
-    "sub": (lambda a, b: T.sub(a, b), (3, 4), (4,)),
-    "mul": (lambda a, b: T.mul(a, b), (3, 4), (4,)),
-    "div": (lambda a, b: T.div(a, b), (3, 4), (4,)),
-    "matmul_weight": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
-    "matmul_batched": (lambda a, b: T.matmul(a, b), (2, 3, 4), (2, 4, 5)),
+_PRIMITIVES = {
+    "add": (T.add, (3, 4), (4,)),
+    "sub": (T.sub, (3, 4), (4,)),
+    "mul": (T.mul, (3, 4), (4,)),
+    "div": (T.div, (3, 4), (4,)),
+    "matmul_weight": (T.matmul, (2, 3, 4), (4, 5)),
+    "matmul_batched": (T.matmul, (2, 3, 4), (2, 4, 5)),
+    "linear": (T.linear, (2, 3, 4), (4, 5), (5,)),
+    "layer_norm": (T.layer_norm, (2, 3, 4), (4,), (4,)),
 }
 
 
@@ -164,13 +187,10 @@ def _primitive_backward(fn, arrays, live):
     return node.backward_fn(np.ones_like(out.data))
 
 
-@pytest.mark.parametrize("name", sorted(_BINARY_PRIMITIVES) + ["layer_norm"])
+@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
 def test_backward_skips_frozen_operands(name):
     rng = np.random.default_rng(5)
-    if name == "layer_norm":
-        fn, shapes = T.layer_norm, [(2, 3, 4), (4,), (4,)]
-    else:
-        fn, *shapes = _BINARY_PRIMITIVES[name]
+    fn, *shapes = _PRIMITIVES[name]
     arrays = [rng.uniform(0.5, 1.5, shape) for shape in shapes]
     every = _primitive_backward(fn, arrays, live=range(len(arrays)))
     for live in range(len(arrays)):
@@ -180,6 +200,35 @@ def test_backward_skips_frozen_operands(name):
                 np.testing.assert_array_equal(gin, every[i])
             else:
                 assert gin is None, (name, live, i)
+
+
+def _value_and_grads(fn, arrays):
+    """fn's output and each operand's gradient of sum(fn(...)^2), all operands tunable."""
+    ops = [T.Tensor(x, requires_grad=True) for x in arrays]
+    with T.Graph() as g:
+        out = fn(*ops)
+        T.backward(g, _total(out * out))
+    return [out.data] + [t.grad for t in ops]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["rank1", "rank2", "rank3"])
+def test_linear_is_bitwise_matmul_plus_bias(dtype, lead):
+    rng = np.random.default_rng(len(lead))
+    arrays = [rng.normal(size=(*lead, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))]
+    with float64_session() if dtype == "float64" else contextlib.nullcontext():
+        got = _value_and_grads(T.linear, arrays)
+        want = _value_and_grads(lambda x, w, b: T.matmul(x, w) + b, arrays)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == np.dtype(dtype) and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_linear_shape_errors_name_every_shape():
+    for shapes in (((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)), ((2, 4), (4,), (4,))):
+        with pytest.raises(ShapeError) as e:
+            T.linear(*(T.Tensor(np.ones(s)) for s in shapes))
+        assert all(str(s) in str(e.value) for s in shapes)
 
 
 def test_clamp_masks_gradient(f64):

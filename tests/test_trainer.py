@@ -59,10 +59,12 @@ def _batch(cfg, tiny_dataset):
 
 
 def _fresh_opt(model):
+    """``_train_step``'s tunable tensors and fresh optimizer states, by name."""
     named = named_tensors(model)
-    return {
-        name: AdamState(m=np.zeros_like(named[name].data), v=np.zeros_like(named[name].data))
-        for name in tunable_names(model)
+    tunable = {name: named[name] for name in tunable_names(model)}
+    return tunable, {
+        name: AdamState(m=np.zeros_like(t.data), v=np.zeros_like(t.data))
+        for name, t in tunable.items()
     }
 
 
@@ -381,11 +383,10 @@ def test_zero_sample_embedding_aborts_with_step_label(small_cfg, tiny_dataset):
     for pair in model.encoder.adaptors:
         pair.sample.w_up.data[...] = 0.0
         pair.sample.b_up.data[...] = 0.0
-    opt = _fresh_opt(model)
     images, fraction = _batch(cfg, tiny_dataset)
     with pytest.raises(TrainingAbortError, match=r"^step 3: .*zero-norm"):
-        _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start, opt,
-                    epoch=1, step_in_epoch=1, global_step=3)
+        _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
+                    *_fresh_opt(model), epoch=1, step_in_epoch=1, global_step=3)
 
 
 def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
@@ -396,7 +397,7 @@ def test_non_finite_prediction_aborts_with_step_label(small_cfg, tiny_dataset):
     with pytest.raises(TrainingAbortError,
                        match=r"^step 5: mask prediction has \d+ non-finite values"):
         _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
-                    _fresh_opt(model), epoch=2, step_in_epoch=1, global_step=5)
+                    *_fresh_opt(model), epoch=2, step_in_epoch=1, global_step=5)
 
 
 def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, monkeypatch):
@@ -412,7 +413,7 @@ def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, mon
     with pytest.raises(TrainingAbortError,
                        match=r"^step 7: non-finite gradient for tensor decoder\.w$"):
         _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
-                    _fresh_opt(model), epoch=3, step_in_epoch=1, global_step=7)
+                    *_fresh_opt(model), epoch=3, step_in_epoch=1, global_step=7)
 
 
 def _objective_inputs(cfg, tiny_dataset, live_layers):
@@ -509,7 +510,7 @@ def test_mca_step_skips_the_views_last_layer(small_cfg, tiny_dataset, monkeypatc
                         lambda *args: calls.append(None) or forward(*args))
     images, fraction = _batch(cfg, tiny_dataset)
     _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
-                _fresh_opt(model), epoch=0, step_in_epoch=0, global_step=0)
+                *_fresh_opt(model), epoch=0, step_in_epoch=0, global_step=0)
     assert len(calls) == 2 * cfg.num_layers - 1
 
 

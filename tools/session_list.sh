@@ -12,7 +12,9 @@
 #     epoch, so 3 and 6 are epoch boundaries) into OUT/<variant>_stop<s>,
 #     then --resume from that checkpoint into OUT/<variant>_stop<s>_resumed;
 #   - mca eval and mca dump-masks of the mca and decoder_only checkpoints
-#     (the adaptor path and the all-frozen trunk path of inference).
+#     (the adaptor path and the all-frozen trunk path of inference);
+#   - the stdout of mca gradcheck --seeds 1 into OUT/gradcheck.txt (every
+#     session above runs in float32; this puts the float64 tape on the list).
 # The generated data is deleted at the end; every other file stays.
 #
 # config.txt and the checkpoint echo out_dir and data_root, so two trees
@@ -70,5 +72,7 @@ for variant in mca decoder_only; do
     mca dump-masks --checkpoint "$OUT/$variant/checkpoint.mcaf" --data "$DATA" \
         --out "$OUT/${variant}_masks"
 done
+
+PYTHONPATH="$TREE/src" python3 -m mca gradcheck --seeds 1 >"$OUT/gradcheck.txt"
 
 rm -r "$DATA"

@@ -1,17 +1,20 @@
 """Finite-difference verification of every differentiable building block.
 
 Each suite builds a small random instance of one operation (or the full
-training objective), computes analytic gradients through the tape, and
-compares against the fourth-order five-point central difference
-(``finite_diff_check``) coordinate by coordinate.  Runs in float64 so the
-h=1e-5 stencil resolves to ~1e-10 even where the objective is steep; the
-session dtype is restored afterwards.
+training objective), takes the analytic gradient of one tensor at a time
+from ``backward``, which returns it and stores none, and compares it against
+the fourth-order five-point central difference (``finite_diff_check``)
+coordinate by coordinate.  Runs in float64 so the h=1e-5 stencil resolves to
+~1e-10 even where the objective is steep; the session dtype is restored
+afterwards.
 
 Each suite checks the single-instance form and the batched form
 (leading axes) of its operation.  The ``total_loss`` suite differentiates
 the trainer's own ``step_objective`` on the ``frozen_rows`` of two images
 and their views, so the objective that trains is the objective that is
-checked.
+checked.  Every suite runs the same checks on every seed, from its own
+generator ``derive_rng(seed, 99, seed index)``; ``total_loss`` includes the
+sample adaptor's projection ``w_p``, its largest weight matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .tensor import (
     normalize_rows,
     set_default_dtype,
 )
-from .trainer import ModelState, frozen_rows, step_objective
+from .trainer import ModelState, derive_rng, frozen_rows, step_objective
 
 # End-to-end geometry: 32x32 images, two encoder layers, batches of two.
 E2E_TRAIN_CONFIG = TrainConfig(
@@ -86,16 +89,13 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     if not x.requires_grad:
         raise ContractError("finite_diff_check requires x.requires_grad")
     h = 1e-5
-    x.grad = None
     with Graph() as g:
-        loss = f(x)
-        backward(g, loss)
+        (grad,) = backward(g, f(x), [x])
     analytic = (
-        x.grad.reshape(-1).copy()
-        if x.grad is not None
+        grad.reshape(-1).copy()
+        if grad is not None
         else np.zeros(x.data.size, dtype=x.data.dtype)
     )
-    x.grad = None
 
     x.data = np.ascontiguousarray(x.data)  # reshape below must be a view
     flat = x.data.reshape(-1)
@@ -307,7 +307,7 @@ def _check_decode_mask(rng) -> List[float]:
     ]
 
 
-def _check_total_loss(rng, deep: bool) -> List[float]:
+def _check_total_loss(rng) -> List[float]:
     cfg = E2E_TRAIN_CONFIG
     state = init_encoder_state(cfg, rng, cfg.bottleneck)
     for pair in state.adaptors:
@@ -337,9 +337,8 @@ def _check_total_loss(rng, deep: bool) -> List[float]:
         state.adaptors[1].sample.w_down,
         dec.w,
         dec.b,
+        state.adaptors[0].sample.w_p,
     ]
-    if deep:
-        targets.append(state.adaptors[0].sample.w_p)
     return [finite_diff_check(objective, t) for t in targets]
 
 
@@ -356,13 +355,8 @@ SUITES = OrderedDict([
     ("iou_loss", _check_iou),
     ("layer_forward", _check_layer_forward),
     ("decode_mask", _check_decode_mask),
-    ("total_loss", None),  # handled specially (deep flag)
+    ("total_loss", _check_total_loss),
 ])
-
-# The largest end-to-end weight matrix is finite-differenced only on every
-# Nth seed to keep the run under the time budget; its chain rule is covered
-# by the matmul unit suite on all seeds.
-DEEP_EVERY = 5
 
 
 def run_gradcheck(
@@ -380,14 +374,7 @@ def run_gradcheck(
     with float64_session():
         for idx, seed in enumerate(seeds):
             for name, fn in SUITES.items():
-                rng = np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(99, idx)))
-                )
-                if name == "total_loss":
-                    errs = _check_total_loss(rng, deep=(idx % DEEP_EVERY == 0))
-                else:
-                    errs = fn(rng)
-                worst[name] = max(worst[name], max(errs))
+                worst[name] = max(worst[name], max(fn(derive_rng(seed, 99, idx))))
     passed = all(err < tol for err in worst.values())
     if verbose:
         for name, err in worst.items():

@@ -1,18 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a row-major numpy array plus an optional gradient buffer.
+A ``Tensor`` wraps a row-major numpy array and a ``requires_grad`` flag.
 Primitives record themselves onto the innermost active ``Graph`` (a linear
 tape) whenever at least one operand requires a gradient; with no active graph
 they run eagerly with no bookkeeping, which is the inference path.
 
-``backward`` consumes the tape once in reverse, accumulating gradients
-additively across multiple uses of a tensor.  It pops each node as it runs
-it and drops the node output's gradient once read, so the arrays a node
-saved are freed as the sweep passes them: afterwards the graph holds
-nothing, and gradients persist only on leaves (tensors that no primitive
-produced, such as parameters).  No gradient is computed for a tensor with
-``requires_grad=False``: each primitive's backward skips its operands that
-do not require one (frozen weights, constants).
+``backward(graph, loss, wrt)`` consumes the tape once in reverse and returns
+d loss / d t for each tensor t of ``wrt``, accumulating additively across
+multiple uses of a tensor; no tensor stores a gradient.  No gradient is
+computed for a tensor with ``requires_grad=False``: each primitive's
+backward skips its operands that do not require one (frozen weights,
+constants).
 
 Two float widths are supported as a global session setting
 (``set_default_dtype``): float32 for training, float64 for the
@@ -47,14 +45,13 @@ def get_default_dtype() -> type:
 
 
 class Tensor:
-    """Multi-dimensional float array with optional gradient."""
+    """Multi-dimensional float array; ``requires_grad`` marks it as differentiable."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self):
@@ -151,12 +148,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def backward(graph: Graph, loss: Tensor) -> None:
-    """Add d loss / d t to ``grad`` of every requires_grad leaf t reachable from loss.
+def backward(graph: Graph, loss: Tensor,
+             wrt: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
+    """d loss / d t for each t in ``wrt``, or None where loss does not reach t.
 
     Consumes the tape: each node is popped before it runs, and its output's
-    ``grad`` is dropped once read.  A primitive's output therefore keeps no
-    gradient, and the graph holds no array once this returns.
+    gradient is dropped once read, so a node's saved arrays are freed as the
+    sweep passes them and the graph holds no array once this returns.
+    Gradients are kept by tensor identity in a dict that lives only for the
+    sweep; the sweep creates no ``Tensor``, so no other tensor can take a key.
+    A tensor this graph produced cannot be in ``wrt``: its gradient is
+    dropped during the sweep.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -164,23 +166,28 @@ def backward(graph: Graph, loss: Tensor) -> None:
         raise ContractError("loss was not produced inside this graph")
     if graph._consumed:
         raise ContractError("backward already ran on this graph")
+    if any(id(t) in graph._produced for t in wrt):
+        raise ContractError("backward is taken only with respect to tensors "
+                            "this graph did not produce")
     graph._consumed = True
-    loss.grad = np.ones_like(loss.data)
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     tape = graph._tape
     while tape:
         node = tape.pop()
-        gout, node.out.grad = node.out.grad, None
+        gout = grads.pop(id(node.out), None)
         if gout is None:
             continue
         gins = node.backward_fn(gout)
         for t, gin in zip(node.inputs, gins):
             if gin is None or not t.requires_grad:
                 continue
-            if t.grad is None:
+            prev = grads.get(id(t))
+            if prev is None:
                 # Nothing writes a gradient in place, so the first may share its array.
-                t.grad = gin.astype(t.data.dtype, copy=False)
+                grads[id(t)] = gin.astype(t.data.dtype, copy=False)
             else:
-                t.grad = t.grad + gin
+                grads[id(t)] = prev + gin
+    return [grads.get(id(t)) for t in wrt]
 
 
 # ---------------------------------------------------------------------------

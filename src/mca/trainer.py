@@ -382,21 +382,22 @@ def _train_step(
         ])
 
     try:
-        with Graph() as g:
-            total, terms = step_objective(model, rows, views, fraction)
-            backward(g, total)
-        for name, state in opt.items():
-            tensor = tunable[name]
-            grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            adamw_step(tensor, grad, state, lr, name=name)
-    except (TrainingAbortError, DegenerateInputError) as exc:
-        # A zero-norm embedding or token row in a contrastive term, or a
-        # non-finite prediction, loss or gradient, is a training failure;
-        # label it with the step.
+        # Overflow and invalid operations raise, so a diverging step stops at
+        # its first bad operation instead of warning and carrying NaN on.
+        with np.errstate(over="raise", invalid="raise"):
+            with Graph() as g:
+                total, terms = step_objective(model, rows, views, fraction)
+                grads = backward(g, total, [tunable[name] for name in opt])
+            for (name, state), grad in zip(opt.items(), grads):
+                tensor = tunable[name]
+                adamw_step(tensor, np.zeros_like(tensor.data) if grad is None else grad,
+                           state, lr, name=name)
+    except (TrainingAbortError, DegenerateInputError, FloatingPointError) as exc:
+        # A zero-norm embedding or token row in a contrastive term, a
+        # floating-point overflow or invalid operation, or a non-finite
+        # prediction, loss or gradient, is a training failure; label it with
+        # the step.
         raise TrainingAbortError(f"step {global_step}: {exc}") from exc
-    # Only leaves keep a gradient after backward, and only tunable leaves get one.
-    for tensor in tunable.values():
-        tensor.grad = None
 
     record = {"step": float(global_step), "epoch": float(epoch), "lr": lr}
     record.update((k, t.item() if isinstance(t, Tensor) else 0.0) for k, t in terms.items())

@@ -229,6 +229,18 @@ def test_runtime_errors_exit_1_with_diagnostic(tmp_path):
     assert "error:" in res2.stderr
 
 
+@pytest.mark.parametrize("variant", ["mca", "decoder_only"])
+def test_overflowing_run_exits_1_with_one_step_labelled_line(cli_workspace, tmp_path, variant):
+    # The step's forward, backward and AdamW raise numpy's overflow and
+    # invalid-operation errors, so no numpy warning reaches stderr, and
+    # decoder_only stops at its first step instead of training on NaN weights.
+    res = _run("train", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+               "--set", f"out_dir={tmp_path / 'run'}", "--set", "epochs=2",
+               "--set", f"variant={variant}", "--set", "lr_start=1e30")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: step ") and res.stderr.count("\n") == 1, res.stderr
+
+
 ERROR_CLASSES = [c for c in vars(errors).values()
                  if isinstance(c, type) and c.__module__ == errors.__name__]
 

@@ -74,7 +74,7 @@ def test_eager_mode_records_nothing():
     a = T.Tensor([1.0], requires_grad=True)
     out = T.gelu(a)  # no active graph
     assert out.requires_grad is False
-    assert a.grad is None
+    assert T._GRAPH_STACK == [] and not hasattr(a, "grad")
 
 
 def test_requires_grad_propagates_only_inside_graph():
@@ -82,32 +82,31 @@ def test_requires_grad_propagates_only_inside_graph():
     with T.Graph() as g:
         out = T.gelu(a)
         assert out.requires_grad is True
-        T.backward(g, _total(out))
-    assert a.grad is not None
+        (grad,) = T.backward(g, _total(out), [a])
+    assert grad is not None
 
 
 def test_backward_accumulates_across_reuse():
     a = T.Tensor([2.0], requires_grad=True)
     with T.Graph() as g:
         loss = _total(a * a)  # d/da = 2a = 4
-        T.backward(g, loss)
-    assert abs(a.grad[0] - 4.0) < 1e-6
+        (grad,) = T.backward(g, loss, [a])
+    assert abs(grad[0] - 4.0) < 1e-6
 
 
 def test_operands_sharing_an_upstream_gradient_keep_their_own(f64):
     # add without broadcast hands the same upstream array to both operands.
     # a's earlier use (q = a * a) adds to a's gradient after b's is set, and
-    # must not reach b's.  The intermediates s and q keep no gradient.
+    # must not reach b's.
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0, 4.0], requires_grad=True)
     w = T.Tensor([0.5, -2.0])
     with T.Graph() as g:
         q = T.mul(a, a)
         s = T.add(a, b)
-        T.backward(g, _total(T.mul(T.add(s, q), w)))
-    np.testing.assert_array_equal(a.grad, w.data + 2.0 * a.data * w.data)
-    np.testing.assert_array_equal(b.grad, w.data)
-    assert s.grad is None and q.grad is None
+        ga, gb = T.backward(g, _total(T.mul(T.add(s, q), w)), [a, b])
+    np.testing.assert_array_equal(ga, w.data + 2.0 * a.data * w.data)
+    np.testing.assert_array_equal(gb, w.data)
 
 
 def test_backward_consumes_the_tape():
@@ -118,15 +117,28 @@ def test_backward_consumes_the_tape():
     with T.Graph() as g:
         h = T.linear(a, w, b)
         loss = _total(T.gelu(h) * h * frozen)
-        outputs = [node.out for node in g._tape]
         saved = [weakref.ref(node.backward_fn) for node in g._tape]
-        T.backward(g, loss)
+        *grads, frozen_grad = T.backward(g, loss, [a, w, b, frozen])
     assert g._tape == []
     assert all(r() is None for r in saved)  # each node's saved arrays went with it
-    assert all(t.grad is None for t in outputs)
-    for leaf in (a, w, b):
-        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
-    assert frozen.grad is None
+    for leaf, grad in zip((a, w, b), grads, strict=True):
+        assert grad is not None and grad.shape == leaf.shape
+    assert frozen_grad is None
+
+
+def test_backward_refuses_a_tensor_its_graph_produced():
+    # A produced tensor's gradient is dropped during the sweep, so there is
+    # no right answer to return for it.
+    a = T.Tensor([1.0, -2.0], requires_grad=True)
+    with T.Graph() as g:
+        h = a * a
+        loss = _total(h)
+        nodes = list(g._tape)
+        with pytest.raises(ContractError, match="did not produce"):
+            T.backward(g, loss, [a, h])
+        assert g._tape == nodes  # refused before the sweep: the tape is intact
+        (grad,) = T.backward(g, loss, [a])
+    np.testing.assert_array_equal(grad, 2.0 * a.data)
 
 
 def test_backward_rejects_non_scalar():
@@ -134,7 +146,7 @@ def test_backward_rejects_non_scalar():
     with T.Graph() as g:
         out = a * 2.0
         with pytest.raises(ContractError):
-            T.backward(g, out)
+            T.backward(g, out, [a])
 
 
 def test_backward_rejects_foreign_loss():
@@ -145,25 +157,25 @@ def test_backward_rejects_foreign_loss():
         _ = a * 1.0
         foreign = T.Tensor([3.0])
         with pytest.raises(ContractError):
-            T.backward(g2, foreign)
+            T.backward(g2, foreign, [a])
 
 
 def test_broadcast_add_unbroadcasts_gradient(f64):
     a = T.Tensor(np.ones((3, 4)), requires_grad=True)
     b = T.Tensor(np.ones(4), requires_grad=True)
     with T.Graph() as g:
-        T.backward(g, _total(a + b))
-    assert a.grad.shape == (3, 4) and np.all(a.grad == 1.0)
-    assert b.grad.shape == (4,) and np.all(b.grad == 3.0)
+        ga, gb = T.backward(g, _total(a + b), [a, b])
+    assert ga.shape == (3, 4) and np.all(ga == 1.0)
+    assert gb.shape == (4,) and np.all(gb == 3.0)
 
 
 def test_frozen_tensor_gets_no_grad():
     a = T.Tensor([1.0], requires_grad=True)
     w = T.Tensor([2.0], requires_grad=False)
     with T.Graph() as g:
-        T.backward(g, _total(a * w))
-    assert w.grad is None
-    assert a.grad is not None
+        ga, gw = T.backward(g, _total(a * w), [a, w])
+    assert gw is None
+    assert ga is not None
 
 
 _PRIMITIVES = {
@@ -207,8 +219,8 @@ def _value_and_grads(fn, arrays):
     ops = [T.Tensor(x, requires_grad=True) for x in arrays]
     with T.Graph() as g:
         out = fn(*ops)
-        T.backward(g, _total(out * out))
-    return [out.data] + [t.grad for t in ops]
+        grads = T.backward(g, _total(out * out), ops)
+    return [out.data] + grads
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -234,8 +246,8 @@ def test_linear_shape_errors_name_every_shape():
 def test_clamp_masks_gradient(f64):
     x = T.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
     with T.Graph() as g:
-        T.backward(g, _total(T.clamp(x, 0.0, 1.0)))
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+        (grad,) = T.backward(g, _total(T.clamp(x, 0.0, 1.0)), [x])
+    assert np.array_equal(grad, [0.0, 1.0, 0.0])
 
 
 def test_normalize_rows_unit_norm(f64):
@@ -253,17 +265,17 @@ def test_diag_part_of_batched_matrices(f64):
     m = T.Tensor(np.arange(8.0).reshape(2, 2, 2), requires_grad=True)
     assert np.array_equal(T.diag_part(m).data, [[0.0, 3.0], [4.0, 7.0]])
     with T.Graph() as g:
-        T.backward(g, _total(T.diag_part(m)))
-    assert np.array_equal(m.grad, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        (grad,) = T.backward(g, _total(T.diag_part(m)), [m])
+    assert np.array_equal(grad, np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 def test_mean_axis_gradient_spreads(f64):
     x = T.Tensor(np.arange(12.0).reshape(2, 3, 2), requires_grad=True)
     with T.Graph() as g:
         out = T.mean_axis(x, -2)
-        T.backward(g, _total(out))
+        (grad,) = T.backward(g, _total(out), [x])
     assert np.array_equal(out.data, x.data.mean(axis=1))
-    assert np.allclose(x.grad, 1.0 / 3.0)
+    assert np.allclose(grad, 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -307,14 +319,14 @@ def test_permute_roundtrip_gradient(f64):
     x = T.Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
     with T.Graph() as g:
         y = T.permute(x, (2, 0, 1))
-        T.backward(g, _total(y * y))
-    assert np.allclose(x.grad, 2.0 * x.data)
+        (grad,) = T.backward(g, _total(y * y), [x])
+    assert np.allclose(grad, 2.0 * x.data)
 
 
 def test_one_backward_per_graph():
     a = T.Tensor([1.0], requires_grad=True)
     with T.Graph() as g:
         loss = _total(a * a)
-        T.backward(g, loss)
+        T.backward(g, loss, [a])
         with pytest.raises(ContractError):
-            T.backward(g, loss)
+            T.backward(g, loss, [a])

@@ -404,9 +404,12 @@ def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, mon
     cfg = small_cfg(variant="decoder_only")
     model = init_model(cfg)
 
-    def nan_backward(graph, total):
-        backward(graph, total)
-        model.decoder.w.grad.flat[0] = np.nan
+    def nan_backward(graph, total, wrt):
+        grads = backward(graph, total, wrt)
+        for t, grad in zip(wrt, grads):
+            if t is model.decoder.w:
+                grad.flat[0] = np.nan
+        return grads
 
     monkeypatch.setattr(trainer_mod, "backward", nan_backward)
     images, fraction = _batch(cfg, tiny_dataset)
@@ -589,8 +592,8 @@ def _step_gradients(cfg, tiny_dataset, frozen_requires_grad):
     fraction, rows = mask_fraction(masks, (cfg.grid, cfg.grid)), frozen_rows(model, images)
     with Graph() as g:
         total, _ = step_objective(model, rows, views, fraction)
-        backward(g, total)
-    return {name: t.grad for name, t in named.items()}
+        grads = backward(g, total, list(named.values()))
+    return dict(zip(named, grads))
 
 
 @pytest.mark.parametrize("variant", ["decoder_only", "adaptor_plain", "mca"])

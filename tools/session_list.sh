@@ -14,7 +14,10 @@
 #   - mca eval and mca dump-masks of the mca and decoder_only checkpoints
 #     (the adaptor path and the all-frozen trunk path of inference);
 #   - the stdout of mca gradcheck --seeds 1 into OUT/gradcheck.txt (every
-#     session above runs in float32; this puts the float64 tape on the list).
+#     session above runs in float32; this puts the float64 tape on the list);
+#   - for mca and decoder_only, the stderr of a run that diverges at once
+#     (lr_start=1e30) into OUT/abort_<variant>.txt; the script fails if
+#     either run exits 0.
 # The generated data is deleted at the end; every other file stays.
 #
 # config.txt and the checkpoint echo out_dir and data_root, so two trees
@@ -74,5 +77,13 @@ for variant in mca decoder_only; do
 done
 
 PYTHONPATH="$TREE/src" python3 -m mca gradcheck --seeds 1 >"$OUT/gradcheck.txt"
+
+for variant in mca decoder_only; do
+    if train "abort_$variant" --set "variant=$variant" --set lr_start=1e30 \
+            2>"$OUT/abort_$variant.txt"; then
+        echo "error: the lr_start=1e30 run of $variant exited 0" >&2
+        exit 1
+    fi
+done
 
 rm -r "$DATA"

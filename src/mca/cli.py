@@ -123,11 +123,15 @@ def _cmd_dump_masks(args: argparse.Namespace) -> int:
         raise ConfigError(f"--threshold must lie in [0, 1], got {args.threshold}")
     model, _step = model_from_checkpoint(args.checkpoint)
     split = load_split(args.data, args.split)
+    # One batch of images at a time; the binary masks are written after the
+    # last batch, so a split refused while it is read leaves no file behind.
+    chunk, masks = model.cfg.batch_size, []
+    for start in range(0, len(split), chunk):
+        maps = predict(model, split.images[start:start + chunk])
+        masks.extend((maps >= args.threshold).astype(np.uint8))
     os.makedirs(args.out, exist_ok=True)
-    maps = predict(model, split.images)
-    for sid, m in zip(split.ids, maps):
-        binary = (m >= args.threshold).astype(np.uint8)
-        save_pgm(os.path.join(args.out, f"{sid}.pgm"), binary)
+    for sid, mask in zip(split.ids, masks):
+        save_pgm(os.path.join(args.out, f"{sid}.pgm"), mask)
     print(f"wrote {len(split)} masks to {args.out}")
     return 0
 

@@ -44,6 +44,7 @@ from .errors import ContractError, UndefinedMetricError
 
 EPS = 1e-12
 THRESHOLD = 0.5   # one binarization for BER, Dice, IoU and dumped masks
+SAT_BLOCK = 64    # maps per S_region summed-area table; each map's value is its own
 METRIC_NAMES = ("mae", "s_measure", "e_measure", "ber", "dice", "iou")
 CSV_HEADER = ("image",) + METRIC_NAMES
 
@@ -151,13 +152,13 @@ def _halves(split: np.ndarray, f: int, blocks: int) -> Tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _s_region(pair: EvalPair) -> np.ndarray:
-    m, _, _, pixels = _grid(pair)
-    (gh, gw), (h, w) = m.shape[-2:], pair.ground_truth.shape[-2:]
-    f = h // gh
+def _s_region(m: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """S_region [N] of maps [N, gh, gw] against their binary truth [N, H, W]."""
+    (gh, gw), (h, w) = m.shape[-2:], truth.shape[-2:]
+    f, pixels = h // gh, h * w
     # sat[i, y, x]: foreground pixels of map i in rows < y and columns < x.
     sat = np.zeros((len(m), h + 1, w + 1), dtype=np.int32)
-    sat[:, 1:, 1:] = pair.ground_truth.reshape(-1, h, w)  # binary, checked by EvalPair
+    sat[:, 1:, 1:] = truth  # binary, checked by EvalPair
     sat.cumsum(axis=-1, out=sat)
     sat.cumsum(axis=-2, out=sat)
     total = sat[:, h, w]
@@ -203,7 +204,11 @@ def s_measure(pair: EvalPair, alpha: float = 0.5):
     m, n, area, pixels = _grid(pair)
     fg = n.sum(axis=(-2, -1))
     mean_s = m.mean(axis=(-2, -1))
-    mixed = alpha * _s_object(m, n, area, pixels) + (1.0 - alpha) * _s_region(pair)
+    truth = pair.ground_truth.reshape(-1, *pair.ground_truth.shape[-2:])
+    # The summed-area table is [N, H+1, W+1] int32: build it SAT_BLOCK maps at a time.
+    region = np.concatenate([_s_region(m[k:k + SAT_BLOCK], truth[k:k + SAT_BLOCK])
+                             for k in range(0, len(m), SAT_BLOCK)])
+    mixed = alpha * _s_object(m, n, area, pixels) + (1.0 - alpha) * region
     val = np.where(fg == 0, 1.0 - mean_s, np.where(fg == pixels, mean_s, mixed))
     return _per_map(pair, np.clip(val, 0.0, 1.0))
 

@@ -1,7 +1,10 @@
 """Synthetic camouflage-style and shadow-style scene generation.
 
-Every (image, mask) is a pure function of (SceneSpec, integer seed); a
-``Split`` holds a split's images, stacked masks and ids.  Backgrounds
+Every (image, mask) is a pure function of (SceneSpec, integer seed).
+``generate_split`` describes a dataset's two splits, and ``write_dataset``
+writes each sample before it draws the next, so generation holds one
+sample at a time.  A ``Split`` read back from disk holds its stacked masks
+and ids, and reads each image when it is indexed.  Backgrounds
 are value noise summed over OCTAVES octaves from BASE_FREQUENCY (each octave
 doubles the frequency and scales the amplitude by NOISE_AMPLITUDE);
 foregrounds are unions of BLOB_COUNT_RANGE wobbly blobs whose radii are
@@ -18,8 +21,9 @@ gap).
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -58,9 +62,9 @@ class SceneSpec:
 
 @dataclass
 class Split:
-    """A split in manifest order: its images as loaded and its stacked masks."""
+    """A split in manifest order: its images and its stacked masks."""
 
-    images: List[np.ndarray]  # [3, H, W] float32 in [0, 1], one array per id
+    images: Sequence          # [3, H, W] float32 in [0, 1], one per id (``SplitImages``)
     masks: np.ndarray         # [N, H, W] uint8 {0, 1}
     ids: List[str]
 
@@ -173,18 +177,33 @@ def _derived_seed(master_seed: int, split_index: int, i: int) -> int:
     return (int(words[0]) << 32) | int(words[1])
 
 
-def generate_split(spec: SceneSpec, n_train: int, n_test: int, seed: int) -> Tuple[Split, Split]:
-    """Disjoint seed streams for train and test; unique ids."""
+@dataclass(frozen=True)
+class Draws:
+    """One generated split, drawn a sample at a time when iterated."""
+
+    name: str    # "train" or "test"
+    index: int   # the split's word in each derived seed
+    spec: SceneSpec
+    seed: int
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
+        """(id, image, mask) in id order; sample i is drawn from its derived seed."""
+        for i in range(self.n):
+            image, mask = generate_sample(self.spec, _derived_seed(self.seed, self.index, i))
+            yield f"{self.name}_{i:04d}", image, mask
+
+
+def generate_split(spec: SceneSpec, n_train: int, n_test: int, seed: int) -> Tuple[Draws, Draws]:
+    """Disjoint seed streams for train and test; unique ids.  Draws nothing yet."""
     if n_train < 1 or n_test < 1:
         raise ContractError("split counts must be >= 1")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    splits = []
-    for index, (name, n) in enumerate((("train", n_train), ("test", n_test))):
-        images, masks = zip(*(generate_sample(spec, _derived_seed(seed, index, i))
-                              for i in range(n)))
-        splits.append(Split(list(images), np.stack(masks), [f"{name}_{i:04d}" for i in range(n)]))
-    return splits[0], splits[1]
+    return Draws("train", 0, spec, seed, n_train), Draws("test", 1, spec, seed, n_test)
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +211,51 @@ def generate_split(spec: SceneSpec, n_train: int, n_test: int, seed: int) -> Tup
 # plus a per-split manifest.txt with one id per line
 # ---------------------------------------------------------------------------
 
-def write_split(root: str, name: str, split: Split) -> None:
-    base = os.path.join(root, name)
-    os.makedirs(os.path.join(base, "images"), exist_ok=True)
-    os.makedirs(os.path.join(base, "masks"), exist_ok=True)
-    for sid, image, mask in zip(split.ids, split.images, split.masks):
-        save_ppm(os.path.join(base, "images", f"{sid}.ppm"), image)
-        save_pgm(os.path.join(base, "masks", f"{sid}.pgm"), mask)
-    with open(os.path.join(base, "manifest.txt"), "w", encoding="ascii") as f:
-        f.writelines(sid + "\n" for sid in split.ids)
+def write_dataset(root: str, train: Draws, test: Draws) -> None:
+    """Write each sample as it is drawn, and each split's manifest after its samples."""
+    for draws in (train, test):
+        base = os.path.join(root, draws.name)
+        os.makedirs(os.path.join(base, "images"), exist_ok=True)
+        os.makedirs(os.path.join(base, "masks"), exist_ok=True)
+        ids = []
+        for sid, image, mask in draws:
+            save_ppm(os.path.join(base, "images", f"{sid}.ppm"), image)
+            save_pgm(os.path.join(base, "masks", f"{sid}.pgm"), mask)
+            ids.append(sid)
+        with open(os.path.join(base, "manifest.txt"), "w", encoding="ascii") as f:
+            f.writelines(sid + "\n" for sid in ids)
 
 
-def write_dataset(root: str, train: Split, test: Split) -> None:
-    write_split(root, "train", train)
-    write_split(root, "test", test)
+class SplitImages(Sequence):
+    """A split's images on disk, each read by ``load_ppm`` when indexed.
+
+    A slice reads a list.  Every image must have the shape of the split's
+    first; the refusal names the image and fires when it is read.
+    """
+
+    def __init__(self, base: str, split: str, ids: List[str], shape: Tuple[int, ...]):
+        self._base, self._split, self._ids, self._shape = base, split, ids, shape
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        sid = self._ids[index]
+        image = load_ppm(os.path.join(self._base, "images", f"{sid}.ppm"))
+        if image.shape != self._shape:
+            raise DataParseError(f"{self._split} image {sid!r} is {image.shape}, "
+                                 f"not {self._shape} like image {self._ids[0]!r}")
+        return image
 
 
 def load_split(root: str, split: str) -> Split:
-    """Load a split in manifest order; every image and mask must share one size."""
+    """A split in manifest order: its masks read now, each image when it is indexed.
+
+    Every image and mask must have the size of the first image: a mask of
+    another size is refused here, an image when it is read.
+    """
     base = os.path.join(root, split)
     manifest = os.path.join(base, "manifest.txt")
     if not os.path.exists(manifest):
@@ -221,15 +267,12 @@ def load_split(root: str, split: str) -> Split:
         raise DataParseError(f"manifest is not ASCII text: {manifest}") from exc
     if not ids:
         raise DataParseError(f"empty manifest: {manifest}")
-    images, masks = [], []
-    for sid in ids:
-        image = load_ppm(os.path.join(base, "images", f"{sid}.ppm"))
+    shape = load_ppm(os.path.join(base, "images", f"{ids[0]}.ppm")).shape
+    masks = np.empty((len(ids),) + shape[1:], dtype=np.uint8)
+    for k, sid in enumerate(ids):
         mask = load_mask(os.path.join(base, "masks", f"{sid}.pgm"))
-        shape = images[0].shape if images else image.shape
-        for kind, got, want in (("image", image.shape, shape), ("mask", mask.shape, shape[1:])):
-            if got != want:
-                raise DataParseError(f"{split} {kind} {sid!r} is {got}, "
-                                     f"not {want} like image {ids[0]!r}")
-        images.append(image)
-        masks.append(mask)
-    return Split(images, np.stack(masks), ids)
+        if mask.shape != shape[1:]:
+            raise DataParseError(f"{split} mask {sid!r} is {mask.shape}, "
+                                 f"not {shape[1:]} like image {ids[0]!r}")
+        masks[k] = mask
+    return Split(SplitImages(base, split, ids, shape), masks, ids)

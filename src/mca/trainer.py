@@ -25,7 +25,9 @@ A ``ModelState`` carries the ``TrainConfig`` that built it, and every
 function here reads the variant, the losses and the batch size from
 ``model.cfg``: no config travels beside a model, so the two cannot
 disagree.  Eager passes (``frozen_rows``, ``predict``, the train dice)
-run ``batch_size`` images at a time.
+run ``batch_size`` images at a time, and ``evaluate`` reads its split's
+images from disk a batch at a time; ``train`` reads its split once per
+session, since every step's views read its images.
 
 The train masks never change within a session either: ``train`` reduces
 them once, next to the frozen rows, to per-block fractions
@@ -135,8 +137,15 @@ def adamw_step(
         raise ContractError(
             f"gradient shape {grad.shape} vs weights {weights.data.shape} ({name})"
         )
-    if not np.all(np.isfinite(grad)):
-        raise TrainingAbortError(f"non-finite gradient for tensor {name or '<unnamed>'}")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        # Comparisons and selection only: nothing here can raise a floating-point error.
+        values = grad[finite]
+        spread = (f"finite entries in [{values.min():.6g}, {values.max():.6g}]"
+                  if values.size else "no finite entry")
+        raise TrainingAbortError(
+            f"non-finite gradient for tensor {name or '<unnamed>'}: "
+            f"{grad.size - values.size} non-finite of {grad.size}, {spread}")
     b1, b2 = ADAM_BETAS
     state.t += 1
     state.m = b1 * state.m + (1.0 - b1) * grad
@@ -496,8 +505,10 @@ def train(
         raise ConfigError(
             f"checkpoint step {start_step} exceeds configured schedule {total_steps}"
         )
+    # Read once per session: every step's views read these images.
+    images = split.images[:]
     # Built after any resume load, which sets the frozen weights it depends on.
-    rows = frozen_rows(model, split.images)
+    rows = frozen_rows(model, images)
     fraction = mask_fraction(split.masks, (cfg.grid, cfg.grid))
 
     end_step = total_steps if stop_after_steps is None else min(total_steps, stop_after_steps)
@@ -509,7 +520,7 @@ def train(
             order = derive_rng(cfg.seed, _PURPOSE_SHUFFLE, epoch).permutation(len(split))
         idxs = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
         lr = cosine_lr(step, total_steps, cfg.lr_start, cfg.lr_end)
-        records.append(_train_step(model, [split.images[i] for i in idxs], rows[idxs],
+        records.append(_train_step(model, [images[i] for i in idxs], rows[idxs],
                                    fraction[idxs], lr, tunable, opt, epoch, b, step))
         if b == steps_per_epoch - 1 or step == end_step - 1:
             dice.append(_train_set_dice(model, split, rows))
@@ -537,9 +548,15 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
 
 
 def evaluate(model: ModelState, split: Split) -> MetricReport:
-    """Inference scoring of the patch maps: no augmentation branch, no contrastive losses."""
-    maps = _patch_maps(model, frozen_rows(model, split.images))
-    return evaluate_dataset(EvalPair(maps, split.masks), split.ids)
+    """Inference scoring of the patch maps: no augmentation branch, no contrastive losses.
+
+    Reads, encodes and decodes ``batch_size`` images at a time; only the
+    patch maps and the masks span the split.
+    """
+    chunk = model.cfg.batch_size
+    maps = [_patch_maps(model, frozen_rows(model, split.images[start:start + chunk]))
+            for start in range(0, len(split), chunk)]
+    return evaluate_dataset(EvalPair(np.concatenate(maps), split.masks), split.ids)
 
 
 def save_result(result: TrainResult, path: str) -> None:
@@ -572,7 +589,9 @@ def run_ablation(
         raise ContractError("need at least one ablation value")
     axis = "variant" if variants is not None else "strategy"
 
+    # Every session scores the same test images: read them once, before any training.
     test_split = load_split(base_cfg.data_root, "test")
+    test_split = replace(test_split, images=test_split.images[:])
     rows: List[Dict[str, object]] = []
     for value in values:
         per_seed: List[Dict[str, float]] = []

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mca.checkpoint import load_checkpoint, save_checkpoint
 from mca.cli import CONFIG_NAME, LOG_NAME, main
 from mca.config import TrainConfig
 from mca.netpbm import load_mask, save_pgm, save_ppm
+from mca.synthdata import SceneSpec, generate_split, write_dataset
 from mca.trainer import init_model, named_tensors
 
 SMALL_SETS = [
@@ -411,6 +413,50 @@ def test_split_of_mixed_sizes_exits_1_with_one_line(cli_workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert bad in err
+
+
+def _test_split(root, n_test):
+    """One train and ``n_test`` test images at 32x32, the size the workspace model takes."""
+    spec = SceneSpec(kind="camouflage", image_size=32)
+    write_dataset(str(root), *generate_split(spec, 1, n_test, seed=4))
+    return root
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-masks"])
+def test_wrong_size_image_last_in_the_split_exits_1_and_writes_nothing(cli_workspace, tmp_path,
+                                                                       capsys, command):
+    # Nine test images are three batches of 4: the last image is read in the
+    # last, partial batch, after every other image was encoded and decoded.
+    data = _test_split(tmp_path / "data", 9)
+    save_ppm(str(data / "test" / "images" / "test_0008.ppm"), np.zeros((3, 48, 48), np.float32))
+    out = tmp_path / ("metrics.csv" if command == "eval" else "masks")
+    assert main([command, "--checkpoint", os.path.join(cli_workspace["out"], "checkpoint.mcaf"),
+                 "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: test image 'test_0008' is (3, 48, 48), not (3, 32, 32) like image 'test_0000'\n")
+    assert not out.exists()
+
+
+def test_eval_and_dump_masks_hold_one_batch_of_images(cli_workspace, tmp_path):
+    # Four times the test images may not cost four times the decoded images:
+    # the traced peak may grow by less than half of the 36 more images'
+    # float32 pixels.  Holding the whole split, it grew by more than all of them.
+    ckpt = os.path.join(cli_workspace["out"], "checkpoint.mcaf")
+    image_bytes = 3 * 32 * 32 * np.dtype(np.float32).itemsize
+    for command in ("eval", "dump-masks"):
+        peaks = []
+        for n_test in (12, 48):
+            data = _test_split(tmp_path / f"{command}_{n_test}", n_test)
+            argv = [command, "--checkpoint", ckpt, "--data", str(data),
+                    "--out", str(data / "out")]
+            assert main(argv) == 0  # a first run loads what later runs reuse
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (48 - 12) * image_bytes / 2, (command, peaks)
 
 
 def test_cli_import_leaves_trainer_and_gradcheck_unloaded():

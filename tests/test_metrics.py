@@ -11,6 +11,7 @@ from mca.errors import ContractError, UndefinedMetricError
 from mca.metrics import (
     EvalPair,
     METRIC_NAMES,
+    SAT_BLOCK,
     ber,
     dice_iou,
     e_measure,
@@ -217,6 +218,24 @@ def test_evaluate_dataset_validation():
         evaluate_dataset(_stack([_random_pair(rng)]), names=["a", "b"])
     with pytest.raises(ContractError):
         evaluate_dataset(_random_pair(rng), names=["a"])  # one map, not a stack
+
+
+def test_evaluate_dataset_of_70_maps_equals_each_map_alone_bitwise():
+    # 70 maps span more than one summed-area block (SAT_BLOCK = 64); every
+    # value must be bitwise that of its map scored alone.
+    assert SAT_BLOCK < 70
+    rng = np.random.default_rng(70)
+    f, grid = 8, 4
+    maps = rng.random((70, grid, grid)).astype(np.float32).astype(np.float64)
+    truth = rng.random((70, grid * f, grid * f)) < rng.uniform(0.1, 0.9, (70, 1, 1))
+    truth[:, 0, 0], truth[:, -1, -1] = True, False
+    report = evaluate_dataset(EvalPair(maps, truth.astype(np.uint8)), [str(k) for k in range(70)])
+    for k, row in enumerate(report.rows):
+        alone = EvalPair(maps[k], truth[k].astype(np.uint8))
+        dice, iou = dice_iou(alone)
+        expected = {"mae": mae(alone), "s_measure": s_measure(alone),
+                    "e_measure": e_measure(alone), "ber": ber(alone), "dice": dice, "iou": iou}
+        assert row == {"image": str(k), **expected}, k
 
 
 def test_report_csv_text_at_6_decimals():

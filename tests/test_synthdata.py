@@ -1,4 +1,4 @@
-"""Synthetic scene generator: determinism, difficulty control, disk layout."""
+"""Synthetic scene generator: determinism, difficulty control, disk layout, reads on demand."""
 
 import os
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mca.errors import ConfigError, ContractError, DataParseError
-from mca.netpbm import save_pgm, save_ppm
+from mca.netpbm import load_ppm, save_pgm, save_ppm
 from mca.synthdata import (
     KINDS,
     OCCUPANCY_RANGE,
@@ -106,17 +106,41 @@ def test_generate_split_counts_ids_and_determinism():
     spec = SceneSpec(kind="camouflage", image_size=32)
     train, test = generate_split(spec, 6, 3, seed=5)
     assert len(train) == 6 and len(test) == 3
-    assert train.masks.shape == (6, 32, 32) and train.masks.dtype == np.uint8
-    ids = train.ids + test.ids
+    drawn = {split.name: list(split) for split in (train, test)}
+    masks = np.stack([mask for _, _, mask in drawn["train"]])
+    assert masks.shape == (6, 32, 32) and masks.dtype == np.uint8
+    ids = [sid for split in drawn.values() for sid, _, _ in split]
     assert len(set(ids)) == 9
-    assert train.ids[0] == "train_0000" and test.ids[2] == "test_0002"
+    assert ids[0] == "train_0000" and ids[-1] == "test_0002"
     train2, test2 = generate_split(spec, 6, 3, seed=5)
-    for a, b in ((train, train2), (test, test2)):
-        for image_a, image_b in zip(a.images, b.images, strict=True):
+    for a, b in ((drawn["train"], train2), (drawn["test"], test2)):
+        for (id_a, image_a, mask_a), (id_b, image_b, mask_b) in zip(a, b, strict=True):
+            assert id_a == id_b
             np.testing.assert_array_equal(image_a, image_b)
-        np.testing.assert_array_equal(a.masks, b.masks)
+            np.testing.assert_array_equal(mask_a, mask_b)
     with pytest.raises(ContractError):
         generate_split(spec, 0, 3, seed=5)
+    with pytest.raises(ContractError):
+        generate_split(spec, 6, 3, seed=-1)
+
+
+def test_every_written_file_is_the_saved_sample_of_its_derived_seed(tmp_path):
+    spec = SceneSpec(kind="shadow", image_size=32, contrast_gap=0.5)
+    root = tmp_path / "ds"
+    write_dataset(str(root), *generate_split(spec, 3, 2, seed=11))
+    for index, (split, n) in enumerate((("train", 3), ("test", 2))):
+        ids = [f"{split}_{i:04d}" for i in range(n)]
+        assert (root / split / "manifest.txt").read_text(encoding="ascii") == "".join(
+            sid + "\n" for sid in ids)
+        assert sorted(os.listdir(root / split / "images")) == [f"{sid}.ppm" for sid in ids]
+        assert sorted(os.listdir(root / split / "masks")) == [f"{sid}.pgm" for sid in ids]
+        for i, sid in enumerate(ids):
+            image, mask = generate_sample(spec, _derived_seed(11, index, i))
+            save_ppm(str(tmp_path / "saved.ppm"), image)
+            save_pgm(str(tmp_path / "saved.pgm"), mask)
+            for kind, suffix in (("images", "ppm"), ("masks", "pgm")):
+                written = (root / split / kind / f"{sid}.{suffix}").read_bytes()
+                assert written == (tmp_path / f"saved.{suffix}").read_bytes(), (sid, kind)
 
 
 def test_derived_seeds_do_not_collide():
@@ -132,14 +156,20 @@ def test_write_then_load_round_trip(tmp_path):
     train, test = generate_split(spec, 3, 2, seed=11)
     root = str(tmp_path / "ds")
     write_dataset(root, train, test)
-    for split, originals in (("train", train), ("test", test)):
+    for split, originals in (("train", list(train)), ("test", list(test))):
         assert os.path.exists(os.path.join(root, split, "manifest.txt"))
         loaded = load_split(root, split)
-        assert loaded.ids == originals.ids
-        for a, b in zip(loaded.images, originals.images, strict=True):
+        assert loaded.ids == [sid for sid, _, _ in originals]
+        assert len(loaded.images) == len(originals)
+        for a, (_, b, _) in zip(loaded.images, originals, strict=True):
             # Images pass through 8-bit quantization on disk.
             assert np.abs(a - b).max() <= 0.5 / 255 + 1e-7
-        np.testing.assert_array_equal(loaded.masks, originals.masks)
+        np.testing.assert_array_equal(loaded.masks, np.stack([m for _, _, m in originals]))
+        # Each read is load_ppm of the image's file: same values, same layout.
+        expected = load_ppm(os.path.join(root, split, "images", f"{loaded.ids[-1]}.ppm"))
+        for image in (loaded.images[-1], loaded.images[1:][-1]):
+            np.testing.assert_array_equal(image, expected)
+            assert image.strides == expected.strides
 
 
 def test_load_split_missing_or_empty_manifest(tmp_path):
@@ -172,8 +202,12 @@ def test_load_split_rejects_an_image_of_another_size(tmp_path):
     root = _written_split(tmp_path)
     save_ppm(os.path.join(root, "train", "images", "train_0001.ppm"),
              np.zeros((3, 48, 48), dtype=np.float32))
-    with pytest.raises(DataParseError, match=r"train image 'train_0001' is \(3, 48, 48\)"):
-        load_split(root, "train")
+    # Images are read when indexed, so the refusal fires at the read.
+    split = load_split(root, "train")
+    assert split.images[0].shape == (3, 32, 32)
+    for read in (lambda: split.images[1], lambda: split.images[:]):
+        with pytest.raises(DataParseError, match=r"train image 'train_0001' is \(3, 48, 48\)"):
+            read()
 
 
 def test_load_split_rejects_a_mask_of_another_size(tmp_path):

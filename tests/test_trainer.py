@@ -404,19 +404,43 @@ def test_non_finite_gradient_aborts_with_step_label(small_cfg, tiny_dataset, mon
     cfg = small_cfg(variant="decoder_only")
     model = init_model(cfg)
 
+    seen = []
+
     def nan_backward(graph, total, wrt):
         grads = backward(graph, total, wrt)
         for t, grad in zip(wrt, grads):
             if t is model.decoder.w:
                 grad.flat[0] = np.nan
+                seen.append(grad.copy())
         return grads
 
     monkeypatch.setattr(trainer_mod, "backward", nan_backward)
     images, fraction = _batch(cfg, tiny_dataset)
+    # The step runs under np.errstate(over="raise", invalid="raise"), so the
+    # message is built there: building it raises nothing of its own.
     with pytest.raises(TrainingAbortError,
-                       match=r"^step 7: non-finite gradient for tensor decoder\.w$"):
+                       match=r"^step 7: non-finite gradient for tensor decoder\.w: ") as info:
         _train_step(model, images, frozen_rows(model, images), fraction, cfg.lr_start,
                     *_fresh_opt(model), epoch=3, step_in_epoch=1, global_step=7)
+    (grad,) = seen
+    finite = grad.ravel()[1:]
+    assert str(info.value) == (
+        f"step 7: non-finite gradient for tensor decoder.w: 1 non-finite of {grad.size}, "
+        f"finite entries in [{finite.min():.6g}, {finite.max():.6g}]")
+
+
+@pytest.mark.parametrize("grad, summary", [
+    ([np.nan, np.inf, 1.5, -np.inf, -2.25], "3 non-finite of 5, finite entries in [-2.25, 1.5]"),
+    ([np.nan, np.inf], "2 non-finite of 2, no finite entry"),
+])
+def test_adamw_names_the_non_finite_count_and_the_finite_range(grad, summary):
+    weights = Tensor(np.zeros(len(grad), dtype=np.float32))
+    state = AdamState(m=np.zeros_like(weights.data), v=np.zeros_like(weights.data))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(TrainingAbortError) as info:
+            adamw_step(weights, np.array(grad), state, 1e-3, name="w")
+    assert str(info.value) == f"non-finite gradient for tensor w: {summary}"
+    assert state.t == 0 and not weights.data.any()
 
 
 def _objective_inputs(cfg, tiny_dataset, live_layers):

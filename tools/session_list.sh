@@ -13,12 +13,16 @@
 #     then --resume from that checkpoint into OUT/<variant>_stop<s>_resumed;
 #   - mca eval and mca dump-masks of the mca and decoder_only checkpoints
 #     (the adaptor path and the all-frozen trunk path of inference);
+#   - the same on a second dataset of 4 train / 70 test images, seed 4, into
+#     OUT/<variant>_eval70.csv and OUT/<variant>_masks70: at batch size 8 that
+#     is 8 full batches and a partial one, and more than one 64-map block of
+#     the S-measure's summed-area table;
 #   - the stdout of mca gradcheck --seeds 1 into OUT/gradcheck.txt (every
 #     session above runs in float32; this puts the float64 tape on the list);
 #   - for mca and decoder_only, the stderr of a run that diverges at once
 #     (lr_start=1e30) into OUT/abort_<variant>.txt; the script fails if
 #     either run exits 0.
-# The generated data is deleted at the end; every other file stays.
+# The generated datasets are deleted at the end; every other file stays.
 #
 # config.txt and the checkpoint echo out_dir and data_root, so two trees
 # compare only when both wrote to the same OUT: run one tree, move OUT
@@ -41,6 +45,7 @@ fi
 mkdir -p "$OUT"
 OUT=$(cd "$OUT" && pwd)
 DATA=$OUT/data
+DATA70=$OUT/data70
 
 mca() {
     PYTHONPATH="$TREE/src" python3 -m mca "$@" >/dev/null
@@ -76,6 +81,14 @@ for variant in mca decoder_only; do
         --out "$OUT/${variant}_masks"
 done
 
+mca gen-data --out "$DATA70" --n-train 4 --n-test 70 --seed 4
+for variant in mca decoder_only; do
+    mca eval --checkpoint "$OUT/$variant/checkpoint.mcaf" --data "$DATA70" \
+        --out "$OUT/${variant}_eval70.csv"
+    mca dump-masks --checkpoint "$OUT/$variant/checkpoint.mcaf" --data "$DATA70" \
+        --out "$OUT/${variant}_masks70"
+done
+
 PYTHONPATH="$TREE/src" python3 -m mca gradcheck --seeds 1 >"$OUT/gradcheck.txt"
 
 for variant in mca decoder_only; do
@@ -86,4 +99,4 @@ for variant in mca decoder_only; do
     fi
 done
 
-rm -r "$DATA"
+rm -r "$DATA" "$DATA70"

@@ -117,21 +117,21 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_masks(args: argparse.Namespace) -> int:
-    from .trainer import model_from_checkpoint, predict
+    from .trainer import model_from_checkpoint, patch_maps
 
     if not 0.0 <= args.threshold <= 1.0:  # also false for NaN
         raise ConfigError(f"--threshold must lie in [0, 1], got {args.threshold}")
     model, _step = model_from_checkpoint(args.checkpoint)
     split = load_split(args.data, args.split)
-    # One batch of images at a time; the binary masks are written after the
-    # last batch, so a split refused while it is read leaves no file behind.
-    chunk, masks = model.cfg.batch_size, []
-    for start in range(0, len(split), chunk):
-        maps = predict(model, split.images[start:start + chunk])
-        masks.extend((maps >= args.threshold).astype(np.uint8))
+    # Every image is read before the first file is written, so a split
+    # refused while it is read leaves no file behind.  Each binary patch is
+    # copied into its f x f block of pixels, as thresholding the upsampled
+    # map would give.
+    masks = (patch_maps(model, split.images) >= args.threshold).astype(np.uint8)
+    f = model.cfg.patch_size
     os.makedirs(args.out, exist_ok=True)
     for sid, mask in zip(split.ids, masks):
-        save_pgm(os.path.join(args.out, f"{sid}.pgm"), mask)
+        save_pgm(os.path.join(args.out, f"{sid}.pgm"), mask.repeat(f, axis=0).repeat(f, axis=1))
     print(f"wrote {len(split)} masks to {args.out}")
     return 0
 

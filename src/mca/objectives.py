@@ -11,24 +11,24 @@ nearest-neighbor upsampled map, exactly; only the float summation order
 differs.  ``mask_fraction`` reduces truth to n / f^2 once, and both losses
 take the patch map with that fraction; the trainer reduces the whole train
 split once per session, since its masks never change.  The training
-objective is
-w_bce * BCE + w_iou * soft-IoU + w_clt * CL_t + w_cls * CL_s with all default
-weights 1.
+objective w_bce * BCE + w_iou * soft-IoU + w_clt * CL_t + w_cls * CL_s (all
+default weights 1) is summed in ``mca.trainer.step_objective``, from the
+terms its variant computes; this module supplies the two mask terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, TrainingAbortError
+from .errors import ContractError, ShapeError
 from .metrics import block_counts
 from .tensor import (
     Tensor,
-    add_const,
+    add,
     clamp,
     div,
     get_default_dtype,
@@ -125,29 +125,6 @@ def iou_loss(m: Tensor, fraction: np.ndarray) -> Tensor:
     empty = ((gt_sum == 0.0) & (pred_sum.data == 0.0)).astype(pred_sum.data.dtype)
     inter = sum_axis(mul(m, p), -1)
     union = sub(pred_sum + gt_sum, inter)
-    ratio = div(inter, add_const(union, empty))
+    ratio = div(inter, add(union, empty))
     return mean_all(sub(1.0 - empty, ratio))
 
-
-def combine_losses(
-    bce: Union[Tensor, float],
-    iou: Union[Tensor, float],
-    cl_t: Union[Tensor, float],
-    cl_s: Union[Tensor, float],
-    weights: Sequence[float],
-) -> Tensor:
-    """Weighted sum of the four objective terms; aborts on non-finite terms."""
-    if len(weights) != 4:
-        raise ContractError(f"need 4 loss weights, got {len(weights)}")
-    terms = {"bce": bce, "iou": iou, "cl_t": cl_t, "cl_s": cl_s}
-    for name, t in terms.items():
-        val = t.item() if isinstance(t, Tensor) else float(t)
-        if not math.isfinite(val):
-            raise TrainingAbortError(f"non-finite loss term {name}: {val}")
-    total = None
-    for w, t in zip(weights, terms.values()):
-        if not isinstance(t, Tensor):
-            t = Tensor(np.asarray(t))
-        piece = mul(t, float(w))
-        total = piece if total is None else total + piece
-    return total

@@ -253,15 +253,6 @@ def div(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def add_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-differentiable constant array of ``a``'s shape."""
-    a = _wrap(a)
-    if np.shape(const) != a.shape:
-        raise ShapeError(f"add_const shape {np.shape(const)} vs {a.shape}")
-    out = a.data + const
-    return _make(out, (a,), lambda g: (g,))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / shape
 # ---------------------------------------------------------------------------

@@ -12,10 +12,19 @@ augmented views go as a second [B, K, d] pass, with the same residuals,
 through the first L-1 of the L layers (the loss reads only layer inputs).
 Contrastive terms are computed per layer on the adaptor inputs (the token
 term contrasts each token with all K - 1 others of its image), masks are
-decoded from the final layer, the objective is combined and
+decoded from the final layer, the objective is summed and
 backpropagated, and AdamW updates the adaptor and decoder weights only.
-The train dice, ``evaluate`` and ``predict`` decode the same way from the
-rows of their images (``_patch_maps``).
+
+The objective is written once, in ``step_objective``: its terms are the
+tensors the variant computes (BCE and soft IoU always, CL_t and CL_s when
+their loss is on), and the total is their weighted sum in the fixed order
+bce, iou_loss, cl_t, cl_s.  A term that is off is absent, not zero; the log
+records it as 0.0.
+
+The inference maps are written once too: ``patch_maps`` reads, encodes and
+decodes ``batch_size`` images at a time into the patch maps [N, g, g] of a
+split.  ``evaluate`` scores them and ``mca dump-masks`` thresholds them; the
+train dice decodes the same way from the session's cached rows.
 
 ``train`` is one loop over the session's global steps.  Each ``_train_step``
 returns its step's record (step, epoch, lr and the loss terms), and the log
@@ -24,8 +33,8 @@ is ``log_rows`` of the records and of each epoch's train dice.
 A ``ModelState`` carries the ``TrainConfig`` that built it, and every
 function here reads the variant, the losses and the batch size from
 ``model.cfg``: no config travels beside a model, so the two cannot
-disagree.  Eager passes (``frozen_rows``, ``predict``, the train dice)
-run ``batch_size`` images at a time, and ``evaluate`` reads its split's
+disagree.  Eager passes (``frozen_rows``, ``patch_maps``, the train dice)
+run ``batch_size`` images at a time, and ``patch_maps`` reads its split's
 images from disk a batch at a time; ``train`` reads its split once per
 session, since every step's views read its images.
 
@@ -42,7 +51,8 @@ of an uninterrupted run.
 The mask head is scored on the token grid (``mca.objectives``,
 ``mca.metrics``): a patch probability stands for each pixel of its block,
 so the losses, the train dice and ``evaluate`` read per-block foreground
-counts of the truth, and only ``predict`` upsamples, for ``mca dump-masks``.
+counts of the truth, and only ``mca dump-masks`` upsamples, copying each
+thresholded patch into its block.
 
 Reductions, in their fixed order: BCE is the mean over every pixel of the
 batch, computed as the mean over its patches weighted by their foreground
@@ -77,8 +87,7 @@ from .config import TrainConfig, config_from_text, config_to_text
 from .encoder import EncoderState, encoder_forward, init_encoder_state, tokenize
 from .errors import ConfigError, ContractError, DegenerateInputError, TrainingAbortError
 from .metrics import METRIC_NAMES, EvalPair, MetricReport, dice_iou, evaluate_dataset
-from .objectives import (DecoderWeights, bce_loss, combine_losses, decode_mask, init_decoder,
-                         iou_loss, mask_fraction)
+from .objectives import DecoderWeights, bce_loss, decode_mask, init_decoder, iou_loss, mask_fraction
 from .synthdata import Split, load_split
 from .tensor import Graph, Tensor, backward
 
@@ -92,7 +101,8 @@ _PURPOSE_SHUFFLE = 1
 _PURPOSE_AUGMENT = 2
 
 LOG_FIELDS = ("epoch", "lr", "bce", "iou_loss", "cl_t", "cl_s", "total", "train_dice")
-_TERMS = ("bce", "iou_loss", "cl_t", "cl_s", "total")
+LOSS_TERMS = ("bce", "iou_loss", "cl_t", "cl_s")  # the objective's order, as cfg.loss_weights
+_TERMS = LOSS_TERMS + ("total",)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -282,7 +292,7 @@ def _resume(model: ModelState, rows: np.ndarray) -> Tuple[List[Tensor], Optional
     return [x] + xs, ys
 
 
-def _patch_maps(model: ModelState, rows: np.ndarray) -> np.ndarray:
+def _decode_rows(model: ModelState, rows: np.ndarray) -> np.ndarray:
     """Patch probability maps [N, g, g] of ``frozen_rows`` [N, K, d], ``batch_size`` per pass."""
     chunk = model.cfg.batch_size
     return np.concatenate([
@@ -291,19 +301,17 @@ def _patch_maps(model: ModelState, rows: np.ndarray) -> np.ndarray:
     ])
 
 
-def predict(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
-    """Probability maps [N, H, W] of N images [C, H, W], ``batch_size`` images per pass.
+def patch_maps(model: ModelState, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Patch probability maps [N, g, g] of N images [C, H, W]; eager (no tape).
 
-    Eager (no tape).  Each patch probability is copied into its
-    patch_size x patch_size block; the sigmoid commutes with that copy, so
-    the maps are bitwise the sigmoid of the upsampled logits.  Only
-    ``dump-masks`` upsamples; the train dice and ``evaluate`` score the
-    ``_patch_maps`` patch maps, whose blocks these are, so all three agree
-    on thresholded masks.
+    Reads, encodes and decodes ``batch_size`` images at a time, so of a
+    split's lazily read images only one batch is held.  ``evaluate`` scores
+    these maps and ``mca dump-masks`` thresholds them; the train dice
+    decodes the same way from its cached rows.
     """
-    f = model.cfg.patch_size
-    maps = _patch_maps(model, frozen_rows(model, images))
-    return maps.repeat(f, axis=-2).repeat(f, axis=-1)
+    chunk = model.cfg.batch_size
+    return np.concatenate([_decode_rows(model, frozen_rows(model, images[start:start + chunk]))
+                           for start in range(0, len(images), chunk)])
 
 
 def _layer_mean(losses: List[Tensor]) -> Tensor:
@@ -321,10 +329,11 @@ def step_objective(
 
     ``rows`` are the images' ``frozen_rows`` [B, K, d]; ``views`` (the
     augmented views, used only with the sample-level loss) are
-    [B, C, H, W]; ``fraction`` is the masks' ``mask_fraction`` [B, g, g].  A
-    non-finite mask prediction aborts.  Returns the weighted total and its
-    terms ``bce``, ``iou_loss``, ``cl_t`` and ``cl_s`` (a term that is off is
-    the float 0.0).
+    [B, C, H, W]; ``fraction`` is the masks' ``mask_fraction`` [B, g, g].
+    Returns the total and its terms: ``bce`` and ``iou_loss`` always,
+    ``cl_t`` and ``cl_s`` only when the variant computes them.  The total is
+    the terms' weighted sum (weights ``cfg.loss_weights``), added in the
+    order of ``LOSS_TERMS``.  A non-finite mask prediction or term aborts.
     """
     cfg, enc = model.cfg, model.encoder
     # Contrastive terms anchor on each adaptor's INPUT tokens (X^i = xs[i], as
@@ -335,11 +344,9 @@ def step_objective(
     bad = int(np.count_nonzero(~np.isfinite(m.data)))
     if bad:
         raise TrainingAbortError(f"mask prediction has {bad} non-finite values of {m.data.size}")
-    terms: Dict[str, object] = {
-        "bce": bce_loss(m, fraction), "iou_loss": iou_loss(m, fraction), "cl_t": 0.0, "cl_s": 0.0,
-    }
+    terms: Dict[str, Tensor] = {"bce": bce_loss(m, fraction), "iou_loss": iou_loss(m, fraction)}
 
-    if cfg.use_token_loss and cfg.adaptors_enabled:
+    if cfg.use_token_loss:
         # Layers whose token adaptor output is exactly zero (only at
         # initialization) are omitted from the token loss: the cosine of a
         # zero vector is undefined.  Mask-loss gradients make them nonzero
@@ -362,9 +369,12 @@ def step_objective(
             for i, p in enumerate(enc.adaptors)
         ])
 
-    total = combine_losses(terms["bce"], terms["iou_loss"], terms["cl_t"], terms["cl_s"],
-                           cfg.loss_weights)
-    return total, terms
+    for name, term in terms.items():
+        value = term.item()
+        if not math.isfinite(value):
+            raise TrainingAbortError(f"non-finite loss term {name.removesuffix('_loss')}: {value}")
+    weights = dict(zip(LOSS_TERMS, cfg.loss_weights))
+    return reduce(add, (term * weights[name] for name, term in terms.items())), terms
 
 
 def _train_step(
@@ -409,7 +419,7 @@ def _train_step(
         raise TrainingAbortError(f"step {global_step}: {exc}") from exc
 
     record = {"step": float(global_step), "epoch": float(epoch), "lr": lr}
-    record.update((k, t.item() if isinstance(t, Tensor) else 0.0) for k, t in terms.items())
+    record.update((k, terms[k].item() if k in terms else 0.0) for k in LOSS_TERMS)
     record["total"] = total.item()
     return record
 
@@ -437,7 +447,7 @@ def _train_set_dice(model: ModelState, split: Split, rows: np.ndarray) -> float:
     Scored on the patch grid by ``metrics.dice_iou``, as ``evaluate``
     scores it: each dice is bitwise that of the upsampled map.
     """
-    pair = EvalPair(_patch_maps(model, rows), split.masks)
+    pair = EvalPair(_decode_rows(model, rows), split.masks)
     return float(np.mean(dice_iou(pair)[0]))
 
 
@@ -548,15 +558,8 @@ def log_to_csv(log: List[Dict[str, float]]) -> str:
 
 
 def evaluate(model: ModelState, split: Split) -> MetricReport:
-    """Inference scoring of the patch maps: no augmentation branch, no contrastive losses.
-
-    Reads, encodes and decodes ``batch_size`` images at a time; only the
-    patch maps and the masks span the split.
-    """
-    chunk = model.cfg.batch_size
-    maps = [_patch_maps(model, frozen_rows(model, split.images[start:start + chunk]))
-            for start in range(0, len(split), chunk)]
-    return evaluate_dataset(EvalPair(np.concatenate(maps), split.masks), split.ids)
+    """Inference scoring of the split's ``patch_maps``: no augmentation, no contrastive losses."""
+    return evaluate_dataset(EvalPair(patch_maps(model, split.images), split.masks), split.ids)
 
 
 def save_result(result: TrainResult, path: str) -> None:
@@ -589,17 +592,15 @@ def run_ablation(
         raise ContractError("need at least one ablation value")
     axis = "variant" if variants is not None else "strategy"
 
+    # An unknown value or a negative seed is refused before any training.
+    configs = [[replace(base_cfg, seed=seed, **{axis: value}) for seed in seeds]
+               for value in values]
     # Every session scores the same test images: read them once, before any training.
     test_split = load_split(base_cfg.data_root, "test")
     test_split = replace(test_split, images=test_split.images[:])
     rows: List[Dict[str, object]] = []
-    for value in values:
-        per_seed: List[Dict[str, float]] = []
-        for seed in seeds:
-            cfg = replace(base_cfg, seed=seed, **{axis: value})
-            result = train(cfg)
-            report = evaluate(result.model, test_split)
-            per_seed.append(report.means)
+    for value, value_configs in zip(values, configs):
+        per_seed = [evaluate(train(cfg).model, test_split).means for cfg in value_configs]
         row: Dict[str, object] = {"name": value, "seeds": len(seeds)}
         for metric in METRIC_NAMES:
             vals = np.array([m[metric] for m in per_seed])

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 
+import mca.trainer as trainer_mod
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from mca.cli import CONFIG_NAME, LOG_NAME, main
 from mca.config import TrainConfig
 from mca.netpbm import load_mask, save_pgm, save_ppm
 from mca.synthdata import SceneSpec, generate_split, write_dataset
-from mca.trainer import init_model, named_tensors
+from mca.encoder import encoder_forward, tokenize
+from mca.kernels import sigmoid_forward
+from mca.metrics import THRESHOLD
+from mca.objectives import LOGIT_GAIN
+from mca.synthdata import load_split
+from mca.trainer import init_model, model_from_checkpoint, named_tensors
 
 SMALL_SETS = [
     "--set", "image_size=32", "--set", "embed_dim=16",
@@ -117,6 +124,47 @@ def test_dump_masks_binary_pgms(cli_workspace, tmp_path):
         mask = load_mask(os.path.join(out_dir, f))
         assert mask.shape == (32, 32)
         assert set(np.unique(mask)) <= {0, 1}
+
+
+def test_dumped_masks_are_the_upsampled_map_thresholded(cli_workspace, tmp_path):
+    # dump-masks thresholds the patch maps and copies each binary patch into
+    # its block; thresholding the sigmoid of the upsampled logits of the
+    # whole encoder, computed here, gives the same bits.
+    ckpt = os.path.join(cli_workspace["out"], "checkpoint.mcaf")
+    out_dir = tmp_path / "masks"
+    assert main(["dump-masks", "--checkpoint", ckpt, "--data", cli_workspace["data"],
+                 "--split", "train", "--out", str(out_dir)]) == 0
+    model, _ = model_from_checkpoint(ckpt)
+    cfg, split = model.cfg, load_split(cli_workspace["data"], "train")
+    chunk, f, g = cfg.batch_size, cfg.patch_size, cfg.grid
+    tokens = np.concatenate([
+        encoder_forward(tokenize(np.stack(split.images[i:i + chunk]), cfg, model.encoder),
+                        model.encoder, True)[0][-1].data
+        for i in range(0, len(split), chunk)])
+    w, b = model.decoder.w.data, model.decoder.b.data
+    logits = np.concatenate([((tokens[i:i + chunk] @ w + b) * LOGIT_GAIN).reshape(-1, g, g)
+                             for i in range(0, len(tokens), chunk)])
+    want = sigmoid_forward(logits.repeat(f, axis=-2).repeat(f, axis=-1)) >= THRESHOLD
+    got = np.stack([load_mask(str(out_dir / f"{sid}.pgm")) for sid in split.ids])
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(want) < want.size
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--variants", "adaptor_plain,bogus"], "'bogus'"),
+    (["--strategies", "CJ,bogus"], "bogus"),
+    (["--variants", "adaptor_plain", "--seeds", "0,-1"], "got -1"),
+])
+def test_ablate_refuses_a_bad_value_before_any_training(cli_workspace, monkeypatch, capsys,
+                                                        flags, named):
+    trained = []
+    train = trainer_mod.train
+    monkeypatch.setattr(trainer_mod, "train", lambda cfg: trained.append(cfg) or train(cfg))
+    assert main(["ablate", *SMALL_SETS, "--set", f"data_root={cli_workspace['data']}",
+                 "--set", "epochs=1", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert trained == []
 
 
 def test_ablate_csv_structure(cli_workspace, tmp_path):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,27 @@ def test_evaluate_dataset_of_70_maps_equals_each_map_alone_bitwise():
         expected = {"mae": mae(alone), "s_measure": s_measure(alone),
                     "e_measure": e_measure(alone), "ber": ber(alone), "dice": dice, "iou": iou}
         assert row == {"image": str(k), **expected}, k
+
+
+def test_eval_pair_memory_is_bounded_per_map_and_every_block_is_checked():
+    # The truth is counted SAT_BLOCK maps at a time: going from 64 to 640
+    # maps of 64 x 64, EvalPair's traced peak may grow by less than 1 KB per
+    # extra map beyond its inputs (a bool copy of one 64 x 64 mask is 4 KB).
+    rng = np.random.default_rng(640)
+    peaks = []
+    for n in (64, 640):
+        maps = rng.random((n, 4, 4)).astype(np.float32)
+        truth = (rng.random((n, 64, 64)) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            EvalPair(maps, truth)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < (640 - 64) * 1024, peaks
+    truth[-1, -1, -1] = 2  # in the last block of maps
+    with pytest.raises(ContractError, match="binary"):
+        EvalPair(maps, truth)
 
 
 def test_report_csv_text_at_6_decimals():

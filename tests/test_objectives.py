@@ -2,15 +2,20 @@
 
 import math
 
+import mca.trainer as trainer_mod
+
 import numpy as np
 import pytest
 
+from mca.checkpoint import save_checkpoint
+from mca.cli import main
+from mca.config import config_to_text
 from mca.errors import ContractError, ShapeError, TrainingAbortError
+from mca.netpbm import load_mask
 from mca.objectives import (
     LOGIT_GAIN,
     DecoderWeights,
     bce_loss,
-    combine_losses,
     decode_mask,
     init_decoder,
     iou_loss,
@@ -18,7 +23,8 @@ from mca.objectives import (
 )
 from mca.synthdata import load_split
 from mca.tensor import Graph, Tensor, backward
-from mca.trainer import init_model, predict, step_objective
+from mca.trainer import (LOSS_TERMS, checkpoint_payload, frozen_rows, init_model,
+                         named_tensors, step_objective, tunable_names)
 
 
 def _loss(loss_fn, pred, truth):
@@ -113,17 +119,21 @@ def test_decode_mask_block_structure(f64):
                 assert abs(out.data[r, c] - 0.5) < 1e-12
 
 
-def test_decode_mask_upsampling_is_nearest(small_cfg, tiny_dataset):
-    # decode_mask stays on the patch grid; predict copies each patch
-    # probability into its patch x patch block of pixels.
+def test_decode_mask_upsampling_is_nearest(small_cfg, tiny_dataset, tmp_path):
+    # decode_mask stays on the patch grid; mca dump-masks copies each
+    # thresholded patch probability into its patch x patch block of pixels.
     cfg = small_cfg(variant="decoder_only")
     model = init_model(cfg)
     model.decoder.w.data = np.random.default_rng(2).normal(
         0.0, 1e-3, model.decoder.w.data.shape).astype(model.decoder.w.data.dtype)
-    images = load_split(tiny_dataset, "train").images
-    maps = predict(model, images)
+    ckpt = str(tmp_path / "m.mcaf")
+    save_checkpoint(ckpt, checkpoint_payload(model, {}), config_to_text(cfg), 0)
+    assert main(["dump-masks", "--checkpoint", ckpt, "--data", tiny_dataset,
+                 "--split", "train", "--out", str(tmp_path / "masks")]) == 0
+    ids = load_split(tiny_dataset, "train").ids
+    masks = np.stack([load_mask(str(tmp_path / "masks" / f"{sid}.pgm")) for sid in ids])
     g, f = cfg.image_size // cfg.patch_size, cfg.patch_size
-    blocks = maps.reshape(len(images), g, f, g, f)
+    blocks = masks.reshape(len(ids), g, f, g, f)
     assert np.all(blocks == blocks[:, :, :1, :, :1])
     assert len(np.unique(blocks[:, :, 0, :, 0])) > 1
 
@@ -184,39 +194,69 @@ def test_patch_grid_loss_is_the_pixel_loss_of_the_upsampled_map(f64, f, loss_fn)
     np.testing.assert_allclose(grids["patch"][1], block_grad, rtol=1e-12, atol=1e-15)
 
 
-def test_combine_losses_weighted_sum_and_validation(f64):
-    val = combine_losses(1.0, 2.0, 3.0, 4.0, (1.0, 0.5, 2.0, 0.0))
-    assert abs(float(val.data) - (1.0 + 1.0 + 6.0)) < 1e-12
-    with pytest.raises(ContractError):
-        combine_losses(1.0, 2.0, 3.0, 4.0, (1.0, 1.0))
-    with pytest.raises(TrainingAbortError, match="cl_t"):
-        combine_losses(0.0, 0.0, float("nan"), 0.0, (1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(TrainingAbortError, match="iou"):
-        combine_losses(0.0, float("inf"), 0.0, 0.0, (1.0, 1.0, 1.0, 1.0))
+def _live_model(cfg):
+    """A model whose token adaptors are live, so every term of its variant is computed."""
+    model = init_model(cfg)
+    rng = np.random.default_rng(11)
+    for pair in model.encoder.adaptors:
+        pair.token.w_up.data = rng.normal(0.0, 0.1, pair.token.w_up.data.shape)
+    return model
 
 
-def test_total_loss_zero_weights_zero_value_and_gradient(f64):
-    g = np.array([[1.0, 0.0], [1.0, 0.0]])
+def _objective(model, tiny_dataset):
+    """``step_objective`` of the first train batch, the images doubling as views."""
+    split = load_split(tiny_dataset, "train")
+    images = np.stack(split.images[:model.cfg.batch_size])
+    fraction = mask_fraction(split.masks[:model.cfg.batch_size], (model.cfg.grid,) * 2)
+    return step_objective(model, frozen_rows(model, images), images, fraction)
+
+
+def _fix_terms(monkeypatch, values):
+    """Make each objective term's function return a constant: bce, iou, cl_t, cl_s."""
+    for fn, value in zip(("bce_loss", "iou_loss", "token_contrastive_loss",
+                          "sample_contrastive_loss"), values):
+        monkeypatch.setattr(trainer_mod, fn, lambda *args, v=value: Tensor(np.asarray(v)))
+
+
+def test_objective_refuses_a_non_finite_term(small_cfg, tiny_dataset, f64, monkeypatch):
+    model = _live_model(small_cfg(variant="mca"))
+    for values, label, bad in [((math.nan, 2.0, 3.0, 4.0), "bce", "nan"),
+                               ((1.0, math.inf, 3.0, 4.0), "iou", "inf"),
+                               ((1.0, 2.0, math.nan, 4.0), "cl_t", "nan"),
+                               ((1.0, 2.0, 3.0, -math.inf), "cl_s", "-inf")]:
+        _fix_terms(monkeypatch, values)
+        with pytest.raises(TrainingAbortError, match=f"^non-finite loss term {label}: {bad}$"):
+            _objective(model, tiny_dataset)
+
+
+def test_total_loss_zero_weights_zero_value_and_gradient(small_cfg, tiny_dataset, f64):
+    model = _live_model(small_cfg(variant="mca", w_bce=0.0, w_iou=0.0, w_cl_t=0.0, w_cl_s=0.0))
+    named = named_tensors(model)
     with Graph() as graph:
-        pred = Tensor(np.full((2, 2), 0.3), requires_grad=True)
-        fraction = mask_fraction(g, (2, 2))
-        loss = combine_losses(bce_loss(pred, fraction), iou_loss(pred, fraction), 0.7, 0.9,
-                              (0, 0, 0, 0))
-        assert float(loss.data) == 0.0
-        (grad,) = backward(graph, loss, [pred])
-    np.testing.assert_array_equal(grad, np.zeros((2, 2)))
+        total, terms = _objective(model, tiny_dataset)
+        assert list(terms) == list(LOSS_TERMS) and all(t.item() > 0.0 for t in terms.values())
+        assert total.item() == 0.0
+        grads = backward(graph, total, [named[name] for name in tunable_names(model)])
+    for name, grad in zip(tunable_names(model), grads):
+        assert grad is None or not grad.any(), name
 
 
-def test_total_loss_matches_manual_combination(f64):
-    g = np.array([[1.0, 0.0], [1.0, 0.0]])
-    pred = Tensor(np.array([[0.9, 0.1], [0.8, 0.2]]))
-    fraction = mask_fraction(g, (2, 2))
-    w = (1.0, 1.0, 1.0, 1.0)
-    total = float(combine_losses(bce_loss(pred, fraction), iou_loss(pred, fraction),
-                                 0.25, 0.5, w).data)
-    manual = (float(bce_loss(pred, fraction).data) + float(iou_loss(pred, fraction).data)
-              + 0.25 + 0.5)
-    assert abs(total - manual) < 1e-12
+def test_total_loss_matches_manual_combination(small_cfg, tiny_dataset, f64, monkeypatch):
+    # Each term is weighted by its own config weight and the total is their
+    # sum, left to right in the order bce, iou_loss, cl_t, cl_s.
+    for variant in ("decoder_only", "mca"):
+        model = _live_model(small_cfg(variant=variant))
+        total, terms = _objective(model, tiny_dataset)
+        assert list(terms) == list(LOSS_TERMS[:2] if variant == "decoder_only" else LOSS_TERMS)
+        manual = terms["bce"].data + terms["iou_loss"].data
+        for name in LOSS_TERMS[2:]:
+            if name in terms:
+                manual = manual + terms[name].data
+        assert total.item() == float(manual)
+    _fix_terms(monkeypatch, (1.0, 2.0, 3.0, 4.0))
+    cfg = small_cfg(variant="mca", w_bce=1.0, w_iou=0.5, w_cl_t=2.0, w_cl_s=0.0)
+    total, _ = _objective(_live_model(cfg), tiny_dataset)
+    assert total.item() == 1.0 + 1.0 + 6.0
 
 
 def test_non_finite_prediction_rejected(small_cfg):

@@ -13,15 +13,15 @@ from mca.augment import parse_strategy, sample_view
 from mca.checkpoint import load_checkpoint, save_checkpoint
 from mca.encoder import encoder_forward, tokenize
 from mca.errors import ConfigError, ContractError, TrainingAbortError
-from mca.kernels import sigmoid_forward
 from mca.metrics import EvalPair, dice_iou
-from mca.objectives import LOGIT_GAIN, decode_mask, mask_fraction
+from mca.objectives import decode_mask, mask_fraction
 from mca.synthdata import load_split
 from mca.tensor import Graph, Tensor, backward
 from mca.trainer import (
     ADAM_BETAS,
     ADAM_EPS,
     LOG_FIELDS,
+    LOSS_TERMS,
     WEIGHT_DECAY,
     AdamState,
     _train_set_dice,
@@ -36,7 +36,7 @@ from mca.trainer import (
     log_to_csv,
     model_from_checkpoint,
     named_tensors,
-    predict,
+    patch_maps,
     run_ablation,
     save_result,
     step_objective,
@@ -471,7 +471,10 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
     model, images, views, masks = _objective_inputs(cfg, tiny_dataset, live_layers)
     fraction = mask_fraction(masks, (cfg.grid, cfg.grid))
     total, terms = step_objective(model, frozen_rows(model, images), views, fraction)
-    got = {k: (t.item() if isinstance(t, Tensor) else t) for k, t in terms.items()}
+    # Only the terms the variant computes; the oracle reports the others as 0.0.
+    assert list(terms) == (["bce", "iou_loss"] + ["cl_t"] * cfg.use_token_loss
+                           + ["cl_s"] * cfg.use_sample_loss)
+    got = {k: terms[k].item() if k in terms else 0.0 for k in LOSS_TERMS}
     got["total"] = total.item()
     want = oracle_step_objective(model, images, views, masks, cfg)
     assert set(got) == set(want)
@@ -481,47 +484,25 @@ def test_step_objective_matches_per_image_loop(small_cfg, tiny_dataset, f64,
     assert (got["cl_s"] > 0.0) == cfg.use_sample_loss
 
 
-def test_predict_in_chunks_matches_per_image_forward(small_cfg, tiny_dataset):
+def test_patch_maps_in_chunks_match_per_image_forward(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="mca", batch_size=3)
     model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
     images = load_split(tiny_dataset, "train").images
-    maps = predict(model, images)  # 8 images: chunks of 3, 3 and 2
-    assert maps.shape == (8, 32, 32)
+    maps = patch_maps(model, images)  # 8 images: chunks of 3, 3 and 2
+    assert maps.shape == (8, 2, 2)
     for image, got in zip(images, maps):
         xs, _ = encoder_forward(tokenize(image, model.cfg, model.encoder),
                                 model.encoder, True)
-        f = model.cfg.patch_size
-        want = decode_mask(xs[-1], model.decoder).data.repeat(f, axis=0).repeat(f, axis=1)
+        want = decode_mask(xs[-1], model.decoder).data
         assert np.max(np.abs(got - want)) <= PREDICT_ATOL
-
-
-def test_predict_is_the_sigmoid_of_upsampled_logits(small_cfg, tiny_dataset):
-    # The head decodes on the patch grid and predict copies the
-    # probabilities into blocks; the sigmoid commutes with that copy, so
-    # the maps are bitwise those of the upsample-then-sigmoid head.
-    cfg = small_cfg(variant="mca", batch_size=3)
-    model, _, _, _ = _objective_inputs(cfg, tiny_dataset, (0, 1))
-    for t in named_tensors(model).values():
-        t.data = t.data.astype(np.float32)  # the training width, as a checkpoint holds it
-    images = load_split(tiny_dataset, "train").images
-    chunk, f, g = cfg.batch_size, cfg.patch_size, cfg.image_size // cfg.patch_size
-    maps = predict(model, images)
-    tokens = np.concatenate([
-        encoder_forward(tokenize(np.stack(images[i:i + chunk]), cfg, model.encoder),
-                        model.encoder, True)[0][-1].data
-        for i in range(0, len(images), chunk)])
-    w, b = model.decoder.w.data, model.decoder.b.data
-    logits = np.concatenate([((tokens[i:i + chunk] @ w + b) * LOGIT_GAIN).reshape(-1, g, g)
-                             for i in range(0, len(tokens), chunk)])
-    want = sigmoid_forward(logits.repeat(f, axis=-2).repeat(f, axis=-1))
-    assert maps.dtype == want.dtype and np.array_equal(maps, want)
 
 
 def test_train_set_dice_equals_dice_iou_of_upsampled_maps(small_cfg, tiny_dataset):
     cfg = small_cfg(variant="mca", epochs=3)
     model = train(cfg).model
     split = load_split(tiny_dataset, "train")
-    maps = predict(model, split.images)
+    f = cfg.patch_size
+    maps = patch_maps(model, split.images).repeat(f, axis=-2).repeat(f, axis=-1)
     scores = [dice_iou(EvalPair(m, mask))[0] for m, mask in zip(maps, split.masks)]
     assert len(set(scores)) > 2  # a partly trained head: the dice differ by image
     assert _train_set_dice(model, split, frozen_rows(model, split.images)) == float(np.mean(scores))
